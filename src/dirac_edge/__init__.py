@@ -7,7 +7,6 @@ calculus, and the bulk-edge spectral toolbox.
 from .core import (
     BoundaryParam,
     DiagonalKernelError,
-    HalfPlanePoint,
     QuadratureError,
     SpectralPoint,
 )
@@ -22,7 +21,6 @@ from .edge_kernel import (
     ContourConfig,
     DecayFit,
     EdgeGeometry,
-    SampledKernel,
     edge_F,
     edge_F_batch,
     edge_F_direct,

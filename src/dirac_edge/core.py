@@ -49,14 +49,6 @@ def bracket_xi(xi):
     return np.sqrt(1.0 + np.asarray(xi, dtype=float) ** 2)
 
 
-def bracket_u(u):
-    """(1 + |u|)^(1/2), the energy bracket used in resolvent bound fitting.
-
-    Distinct from bracket_xi on purpose; do not interchange them.
-    """
-    return np.sqrt(1.0 + np.abs(np.asarray(u, dtype=float)))
-
-
 @dataclass(frozen=True)
 class BoundaryParam:
     """Boundary coupling gamma in psi_2(x1, 0) = gamma * psi_1(x1, 0).
@@ -91,34 +83,13 @@ class SpectralPoint:
     def z(self):
         return complex(self.u, self.v)
 
-    @property
-    def bracket_u(self):
-        return float(bracket_u(self.u))
 
-
-@dataclass(frozen=True)
-class HalfPlanePoint:
-    """Point x = (x1, x2) with x2 > 0."""
-
-    x1: float
-    x2: float
-
-    def __post_init__(self):
-        if not (self.x2 > 0.0):
-            raise ValueError(f"half-plane point needs x2 > 0, got x2={self.x2}")
-
-    def as_array(self):
-        return np.array([self.x1, self.x2], dtype=float)
-
-
-def as_halfplane_array(x, allow_boundary=False):
-    """Accept a HalfPlanePoint or a length-2 sequence; return float array (2,)."""
-    if isinstance(x, HalfPlanePoint):
-        return x.as_array()
+def as_halfplane_array(x):
+    """Check a length-2 sequence is a point with x2 > 0; return float array (2,)."""
     arr = np.asarray(x, dtype=float)
     if arr.shape != (2,):
         raise ValueError(f"expected a 2d point, got shape {arr.shape}")
-    if not (arr[1] >= 0.0 if allow_boundary else arr[1] > 0.0):
+    if not arr[1] > 0.0:
         raise ValueError(f"half-plane point needs x2 > 0, got x2={arr[1]}")
     return arr
 

@@ -7,7 +7,6 @@ from dirac_edge.core import BoundaryParam, DiagonalKernelError, QuadratureError,
 from dirac_edge.edge_kernel import (
     ContourConfig,
     EdgeGeometry,
-    default_epsilon,
     edge_F,
     edge_F_batch,
     edge_F_direct,
@@ -26,14 +25,6 @@ def test_edge_geometry_validation():
     assert abs(g.theta - np.arctan2(3.0, 4.0)) < 1e-15
     with pytest.raises(ValueError):
         EdgeGeometry(S=1.0, T=0.0)
-
-
-def test_default_epsilon_stays_admissible():
-    for theta in np.linspace(-np.pi / 2 + 1e-6, np.pi / 2 - 1e-6, 101):
-        eps = default_epsilon(theta)
-        assert 0.0 < eps < np.pi / 2
-        # the shifted angle theta - eps must stay inside (-pi/2, pi/2) too
-        assert abs(theta - eps) < np.pi / 2 + 0.6
 
 
 def test_edge_F_bessel_identity_gamma_one():
@@ -83,13 +74,17 @@ def test_edge_F_large_S_small_T():
 
 
 def test_edge_F_batch_matches_single():
-    g = BoundaryParam(1.3)
-    S = RNG.uniform(-4, 4, size=12)
-    T = RNG.uniform(0.3, 3.0, size=12)
-    batch = edge_F_batch(S, T, g)
-    for i in range(12):
-        single = edge_F(EdgeGeometry(S=float(S[i]), T=float(T[i])), g)
-        assert sup_norm(batch[i] - single) < 1e-9
+    # the single pass of the batch path against the refined scalar value,
+    # over separations up to 20, heights down to 1e-3 and gamma in e^[-2.5, 2.5]
+    rng = np.random.default_rng(2024)
+    for _ in range(6):
+        g = BoundaryParam(float(np.exp(rng.uniform(-2.5, 2.5))))
+        S = rng.uniform(-20, 20, size=20)
+        T = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), size=20))
+        batch = edge_F_batch(S, T, g)
+        for i in range(S.size):
+            single = edge_F(EdgeGeometry(S=float(S[i]), T=float(T[i])), g)
+            assert sup_norm(batch[i] - single) <= 1e-11 * sup_norm(single)
 
 
 def test_edge_F_direct_rejects_small_T():
@@ -166,15 +161,27 @@ def test_halfplane_kernel_batch_matches_single():
 
 
 def test_halfplane_kernel_rejects_bad_input():
-    with pytest.raises(DiagonalKernelError):
-        halfplane_kernel(1.0, 1.0, (0.5, 0.5), (0.5, 0.5))
-    with pytest.raises(ValueError):
-        halfplane_kernel(1.0, -1.0, (0.0, 1.0), (1.0, 1.0))
-    with pytest.raises(ValueError):
-        halfplane_kernel(1.0, 1.0, (0.0, -0.2), (1.0, 1.0))
-    with pytest.raises(ValueError):
+    # the scalar and the batch path raise the same exception type for each
+    # bad pair; in the batch the bad pair follows a good one
+    cases = [
+        (DiagonalKernelError, 1.0, (0.5, 0.5), (0.5, 0.5)),
+        (ValueError, -1.0, (0.0, 1.0), (1.0, 1.0)),
+        (ValueError, 0.0, (0.0, 1.0), (1.0, 1.0)),
+        (ValueError, 1.0, (0.0, -0.2), (1.0, 1.0)),
+        (ValueError, 1.0, (0.0, 1.0), (1.0, -0.2)),
         # both points exactly on the boundary: mirrored height vanishes
-        halfplane_kernel(1.0, 1.0, (0.0, 0.0), (1.0, 0.0))
+        (ValueError, 1.0, (0.0, 0.0), (1.0, 0.0)),
+    ]
+    for exc_type, lam, x, xp in cases:
+        X = np.array([[0.3, 0.8], x])
+        Xp = np.array([[1.0, 0.4], xp])
+        for call in (
+            lambda: halfplane_kernel(1.0, lam, x, xp),
+            lambda: halfplane_kernel_batch(1.0, lam, X, Xp),
+        ):
+            with pytest.raises(exc_type) as info:
+                call()
+            assert type(info.value) is exc_type
 
 
 def _decay_samples(gamma, lam, n=24):

@@ -3,6 +3,7 @@ import pytest
 
 from dirac_edge.core import QuadratureError, SpectralPoint
 from dirac_edge.edge_kernel import halfplane_kernel, halfplane_kernel_batch
+from dirac_edge import kernel_ops
 from dirac_edge.fiber import discretize_fiber
 from dirac_edge.kernel_ops import (
     CompositionPlan,
@@ -284,6 +285,22 @@ def test_compose3_zero_potential():
     for W1, W2 in ((PotentialField.zero(), W), (W, PotentialField.zero())):
         out = compose3(K, W1, K, W2, K, x, x)
         assert np.max(np.abs(out.value)) == 0.0 and out.error == 0.0
+
+
+def test_compose3_unconverged_error_is_last_change(monkeypatch):
+    # when the refinements run out, the reported error must cover the last
+    # measured change between the two finest estimates
+    A = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+    B = A + np.array([[0.0, 3e-4], [0.0, 0.0]])
+    estimates = iter([A, B])
+    monkeypatch.setattr(kernel_ops, "_compose3_estimate", lambda *args: next(estimates))
+    x, xp = np.array([0.3, 0.8]), np.array([1.0, 0.4])
+    plan = CompositionPlan.for_pair(x, xp, lam=2.0, n_angular=4, radial_panels=2,
+                                    radial_nodes=3, tol=1e-12, max_refinements=1)
+    W = PotentialField.constant(w3=0.2)
+    out = compose3(None, W, None, W, None, x, xp, plan=plan)
+    assert np.array_equal(out.value, B)
+    assert out.error >= np.max(np.abs(A - B))
 
 
 def test_compose3_diagonal_matches_fiber_oracle():
