@@ -17,7 +17,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -44,18 +43,6 @@ from .magnetic import magnetic_resolvent, schur_norm_Tb, select_lambda0
 
 class ConfigError(Exception):
     """Raised for any problem with the config document (exit code 2)."""
-
-
-def thread_count():
-    """Parallelism cap from DIRAC_EDGE_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("DIRAC_EDGE_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"DIRAC_EDGE_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ConfigError(f"DIRAC_EDGE_THREADS must be >= 0, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
 
 
 def _fmt(v):
@@ -188,11 +175,12 @@ def _exp_born_series(cfg):
     W = _potential(cfg)
     x = np.asarray(cfg["x"], float)
     xp = np.asarray(cfg["xprime"], float)
-    orders = _get(cfg, "orders", [0, 1, 2])
-    rows = []
-    for order in orders:
-        res = born_series(g, W, lam, int(order), x, xp)
-        rows.append([int(order)] + _complex_vals(res.value) + [res.tail_bound, res.error])
+    orders = [int(k) for k in _get(cfg, "orders", [0, 1, 2])]
+    if min(orders, default=0) < 0:
+        raise ValueError(f"order must lie in 0..5, got {min(orders)}")
+    results = born_series(g, W, lam, max(orders, default=0), x, xp)
+    rows = [[k] + _complex_vals(results[k].value) + [results[k].tail_bound, results[k].error]
+            for k in orders]
     return (["order"] + _complex_cols("K") + ["tail_bound", "error"], rows,
             {"W_sup_norm": W.sup_norm})
 
@@ -294,18 +282,14 @@ def _exp_bulk_edge(cfg):
     Ls = _get(cfg, "L_values", [])
     rows = []
     meta = {"rho_L": {}}
-
-    def one(args):
-        b, g, (nb, na) = args
-        w = gap_window(b, int(nb), int(na))
-        disp = dispersion_curves(g, b, np.linspace(lo, hi, n_xi), int(na) + 2)
-        cond = edge_conductance(disp, w, 0.5 * (w.e3 + w.e4))
-        tpi = 2.0 * np.pi * ids_derivative(b, w)
-        return [b, g, int(nb), int(na), cond, tpi, abs(tpi - round(tpi))]
-
-    combos = [(b, g, gap) for b in bs for g in gs for gap in gaps]
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        rows = list(pool.map(one, combos))
+    for b in bs:
+        for g in gs:
+            for nb, na in gaps:
+                w = gap_window(b, int(nb), int(na))
+                disp = dispersion_curves(g, b, np.linspace(lo, hi, n_xi), int(na) + 2)
+                cond = edge_conductance(disp, w, 0.5 * (w.e3 + w.e4))
+                tpi = 2.0 * np.pi * ids_derivative(b, w)
+                rows.append([b, g, int(nb), int(na), cond, tpi, abs(tpi - round(tpi))])
     for L in Ls:
         b, g = bs[0], gs[0]
         w = gap_window(b, *map(int, gaps[0]))

@@ -94,10 +94,11 @@ def as_halfplane_array(x):
     return arr
 
 
-def gauss_legendre_panels(a, b, n_panels, n_nodes):
-    """Composite Gauss-Legendre nodes/weights on [a, b] split into equal panels."""
+def gauss_legendre_panels(edges, n_nodes):
+    """Composite Gauss-Legendre nodes/weights, n_nodes per panel, on the
+    panels between consecutive entries of the increasing array edges."""
     x, w = np.polynomial.legendre.leggauss(n_nodes)
-    edges = np.linspace(a, b, n_panels + 1)
+    edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()

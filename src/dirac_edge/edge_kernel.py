@@ -113,7 +113,7 @@ def _contour_sum(g, r, theta, eps, refinement):
     cos_eps = np.cos(eps)
     x_max = _truncation(float(np.min(r, initial=np.inf)) * cos_eps)
     n_panels = max(8, int(np.ceil(2 * x_max / _PANEL_WIDTH))) << refinement
-    x, w = gauss_legendre_panels(-x_max, x_max, n_panels, _NODES_PER_PANEL)
+    x, w = gauss_legendre_panels(np.linspace(-x_max, x_max, n_panels + 1), _NODES_PER_PANEL)
     # e^w = u e^x with u = e^{i(theta - eps)} per point, so the node weights
     # carry e^{+-x}; complex weights keep the product on the BLAS path
     ex = np.exp(x)
@@ -204,7 +204,7 @@ def edge_F_direct(geom, gamma, tol=1e-10):
 
     def estimate(n_panels, nodes_per_panel=12):
         # integrand coeff * phase * [[i, xi + br], [xi - br, i]] / br
-        xi, w = gauss_legendre_panels(-xi_max, xi_max, n_panels, nodes_per_panel)
+        xi, w = gauss_legendre_panels(np.linspace(-xi_max, xi_max, n_panels + 1), nodes_per_panel)
         br = np.sqrt(1.0 + xi**2)
         s = br + xi
         f = w * (g + 1j * s) / (1.0 + 1j * g * s) * np.exp(1j * xi * S - br * T)

@@ -15,7 +15,7 @@ import scipy.linalg
 from numpy.polynomial import Polynomial
 from numpy.polynomial.hermite_e import HermiteE
 
-from .core import BoundaryParam, QuadratureError
+from .core import BoundaryParam, QuadratureError, gauss_legendre_panels
 from .fiber import discretize_fiber
 
 __all__ = [
@@ -173,28 +173,19 @@ class HsQuadrature:
     max_refinements: int = 3
 
 
-def _panel_nodes(edges, n_nodes):
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
-    return nodes, wts
-
-
 def _hs_sum(F, N, H, quad, B=None):
     a, bmax = F.support
     pad = 2.0  # extension support reaches one unit past supp F in u
     ue = np.linspace(a - pad, bmax + pad, quad.u_panels + 1)
-    un, uw = _panel_nodes(ue, quad.u_nodes)
+    un, uw = gauss_legendre_panels(ue, quad.u_nodes)
     # geometric refinement toward 0 on [v_min, 1/2]; the cutoff-ring region
     # [1/2, 1] gets uniform panels with edges pinned at the chi breakpoints
     n_dec = int(np.ceil(np.log2(0.5 / quad.v_min)))
     ve_pos = np.concatenate(
         [np.geomspace(quad.v_min, 0.5, n_dec + 1), np.linspace(0.5, 1.0, 5)[1:]]
     )
-    pieces = [ _panel_nodes(-ve_pos[::-1], quad.v_nodes),
-               _panel_nodes(ve_pos, quad.v_nodes) ]
+    pieces = [gauss_legendre_panels(-ve_pos[::-1], quad.v_nodes),
+              gauss_legendre_panels(ve_pos, quad.v_nodes)]
     vn = np.concatenate([p[0] for p in pieces])
     vw = np.concatenate([p[1] for p in pieces])
     U, V = np.meshgrid(un, vn, indexing="ij")

@@ -17,6 +17,7 @@ from .core import (
     SIGMA_1,
     BoundaryParam,
     QuadratureError,
+    gauss_legendre_panels,
     sup_norm,
 )
 from .edge_kernel import edge_F_batch, halfplane_kernel_batch
@@ -32,10 +33,6 @@ __all__ = [
     "born_series",
     "low_lambda_form",
 ]
-
-# the dense kernel matrix is assembled in row blocks of about 10 * _CHUNK pairs
-_CHUNK = 2000
-
 
 @dataclass(frozen=True)
 class PotentialField:
@@ -202,11 +199,7 @@ def _patch_nodes_batch(centers, others, plan, base_edges):
         t_bdry = np.where(e[None, :, 1] < 0, -c2 / np.minimum(e[None, :, 1], -1e-300), np.inf)
     rmax = np.minimum(rmax, t_bdry)
 
-    x_gl, w_gl = np.polynomial.legendre.leggauss(plan.radial_nodes)
-    mid = 0.5 * (base_edges[:-1] + base_edges[1:])
-    half = 0.5 * (base_edges[1:] - base_edges[:-1])
-    u = (mid[:, None] + half[:, None] * x_gl[None, :]).ravel()        # (q,)
-    wu = (half[:, None] * w_gl[None, :]).ravel()
+    u, wu = gauss_legendre_panels(base_edges, plan.radial_nodes)      # (q,)
 
     t = rmax[..., None] * u[None, None, :]                            # (P, A, q)
     wt = rmax[..., None] * wu[None, None, :] * t * (2.0 * np.pi / n_ang)
@@ -376,40 +369,82 @@ def _dense_grid(x, xprime, lam, n):
     return Y, h
 
 
-def _dense_kernel_matrix(gamma, lam, Y, h):
-    """Kernel matrix K(y_i, y_j) on the grid, with singular-cell correction.
+def _lattice(Y, h):
+    """(n1, n2) of a row-major lattice Y[i*n2 + j] = (Y[0, 0] + i*h, x2_j) with
+    distinct heights x2_j.  Raises ValueError for any other layout, where a
+    gather over translates would give wrong numbers."""
+    n2 = np.unique(Y[:, 1]).size
+    n1, rest = divmod(Y.shape[0], n2)
+    G = Y[:n1 * n2].reshape(n1, n2, 2)
+    if (rest or not h > 0 or np.any(G[:, :, 0] != G[:, :1, 0])
+            or np.any(G[:, :, 1] != G[:1, :, 1])
+            or not np.all(np.abs(np.diff(G[:, 0, 0]) - h) <= 1e-9 * h)):
+        raise ValueError("points are not a row-major lattice of step h in x1")
+    return n1, n2
 
-    The diagonal cell integral of the kernel is dominated by the bulk part,
-    whose cell average is computed in closed form over the equal-area disc
-    (radius h/sqrt(pi)); the smooth reflected part is added at face value.
+
+def _triple_pairs(n1, n2):
+    """Flat grid indices (p, q), each (2*n1 - 1, n2, n2), of one pair
+    (y_p, y_q) per distinct triple (i - k, j, l): p = (max(m, 0), j) and
+    q = (max(-m, 0), l) for m = i - k."""
+    m = np.arange(1 - n1, n1)[:, None, None]
+    j = np.arange(n2)
+    return np.broadcast_arrays(np.maximum(m, 0) * n2 + j[:, None], np.maximum(-m, 0) * n2 + j)
+
+
+def _gather_triples(table, n1):
+    """(2N, 2N) block matrix, entry (2p + a, 2q + c), from the 2x2 blocks
+    table[m + n1 - 1, j, l] of each triple m = i - k; table as _triple_pairs."""
+    n2 = table.shape[1]
+    i = np.arange(n1)
+    blocks = table[i[:, None] - i[None, :] + n1 - 1]            # (i, k, j, l, a, c)
+    return blocks.transpose(0, 2, 4, 1, 3, 5).reshape(2 * n1 * n2, 2 * n1 * n2)
+
+
+def _dense_kernel_matrix(gamma, lam, Y, h):
+    """Kernel matrix K(y_p, y_q) on a lattice (see _lattice) as a (2N, 2N)
+    block matrix, with singular-cell correction on the diagonal.
+
+    K depends only on (x1 - y1, x2, y2), so it is evaluated once per
+    distinct triple (i - k, j, l) and gathered.  The diagonal cell integral
+    is dominated by the bulk part, whose cell average is computed in closed
+    form over the equal-area disc (radius h/sqrt(pi)); the smooth reflected
+    part is added at face value.
     """
-    N = Y.shape[0]
+    Y = np.asarray(Y, dtype=float)
+    n1, n2 = _lattice(Y, h)
+    p, q = _triple_pairs(n1, n2)
+    diag = p == q
+    table = np.empty(p.shape + (2, 2), dtype=complex)
+    table[~diag] = halfplane_kernel_batch(gamma, lam, Y[p[~diag]], Y[q[~diag]])
     rho = h / np.sqrt(np.pi)
     diag_w = (1j / lam) * (1.0 - lam * rho * k1(lam * rho))
-    Kmat = np.empty((N, N, 2, 2), dtype=complex)
-    rows = max(1, (10 * _CHUNK) // N)
-    for i0 in range(0, N, rows):
-        sl = slice(i0, min(i0 + rows, N))
-        m = sl.stop - sl.start
-        Xb = np.repeat(Y[sl], N, axis=0)
-        Yb = np.tile(Y, (m, 1))
-        mask = np.all(Xb == Yb, axis=1)
-        Kb = np.empty((m * N, 2, 2), dtype=complex)
-        Kb[~mask] = halfplane_kernel_batch(gamma, lam, Xb[~mask], Yb[~mask])
-        if np.any(mask):
-            yc = Xb[mask]
-            edge = lam * edge_F_batch(
-                np.zeros(yc.shape[0]), 2.0 * lam * yc[:, 1], gamma
-            ) @ SIGMA_1 / (4.0 * np.pi)
-            Kb[mask] = edge + (diag_w / h**2) * np.eye(2)
-        Kmat[sl] = Kb.reshape(m, N, 2, 2)
-    return Kmat
+    edge = lam * edge_F_batch(np.zeros(n2), 2.0 * lam * Y[:n2, 1], gamma) @ SIGMA_1 / (4.0 * np.pi)
+    table[diag] = edge + (diag_w / h**2) * np.eye(2)
+    return _gather_triples(table, n1)
+
+
+def _series_terms(rows, M, col, k_max):
+    """rows M^(k-1) col for k = 1..k_max, each of shape (P, 2, 2).
+
+    rows (P, N, 2, 2) and col (N, 2, 2) hold a 2x2 block per grid point; M
+    is a (2N, 2N) block matrix as from _dense_kernel_matrix.
+    """
+    P, N = rows.shape[:2]
+    row = rows.transpose(0, 2, 1, 3).reshape(2 * P, 2 * N)
+    col = col.reshape(2 * N, 2)
+    terms = [row @ col]
+    for _ in range(1, k_max):
+        col = M @ col
+        terms.append(row @ col)
+    return [t.reshape(P, 2, 2) for t in terms]
 
 
 def born_series(gamma, W, lam, order, x, xprime):
     """Partial Born series for the perturbed resolvent at energy i*lam.
 
-    sum_{k<=order} (-1)^k [K W]^k K evaluated at (x, x'): orders 0..2 by the
+    Returns the BornResult of every partial sum sum_{k<=n} (-1)^k [K W]^k K
+    at (x, x'), for n = 0..order, from one pass: orders 1 and 2 by the
     continuum compositions above, higher orders on a dense auxiliary grid
     (their size is already (|W|/lam)^3 of the leading term).  Requires
     |W| < lam; the certified tail is the geometric remainder.
@@ -431,12 +466,11 @@ def born_series(gamma, W, lam, order, x, xprime):
     x = np.asarray(x, dtype=float)
     xprime = np.asarray(xprime, dtype=float)
     K = resolvent_kernel(gamma, lam)
-    total = K(x[None, :], xprime[None, :])[0]
-    err = 0.0
+    # (term, accuracy allowance) of each order; orders without one add zero
+    terms = [(K(x[None, :], xprime[None, :])[0], 0.0)]
     if order >= 1 and W.sup_norm > 0.0:
         c2 = compose2(K, W, K, x, xprime)
-        total = total - c2.value
-        err += c2.error
+        terms.append((-c2.value, c2.error))
     if order >= 2 and W.sup_norm > 0.0:
         # the quadratic term is already (|W|/lam)^2 of the leading one, so a
         # reduced quadrature plus a flat accuracy allowance is enough here
@@ -445,26 +479,24 @@ def born_series(gamma, W, lam, order, x, xprime):
             radial_nodes=6, max_refinements=0, tol=3e-3,
         )
         c3 = compose3(K, W, K, W, K, x, xprime, plan=plan3)
-        total = total + c3.value
-        err += c3.error + 2e-3 * ratio**2 / lam
+        terms.append((c3.value, c3.error + 2e-3 * ratio**2 / lam))
     if order >= 3 and W.sup_norm > 0.0:
         Y, h = _dense_grid(x, xprime, lam, 30)
-        Kmat = _dense_kernel_matrix(gamma, lam, Y, h)
         Wgrid = W(Y)
-        KW = h**2 * np.einsum("mnab,nbc->mnac", Kmat, Wgrid)
-        V = K(Y, np.broadcast_to(xprime, Y.shape))      # V_1 precursor: K(., x')
-        V = np.einsum("mnab,nbc->mac", KW, V)
-        V = np.einsum("mnab,nbc->mac", KW, V)            # now [KW]^2 K(., x')
-        row = K(np.broadcast_to(x, Y.shape), Y)
-        rowW = h**2 * np.einsum("nab,nbc->nac", row, Wgrid)
-        for k in range(3, order + 1):
-            term = np.einsum("nab,nbc->ac", rowW, V)     # [KW]^k K (x, x')
-            total = total + (-1.0) ** k * term
-            err += ratio**k * 0.1 / lam  # grid-accuracy allowance
-            if k < order:
-                V = np.einsum("mnab,nbc->mac", KW, V)
-    tail = ratio ** (order + 1) / (lam * (1.0 - ratio))
-    return BornResult(total, float(tail), float(err))
+        n = Y.shape[0]
+        KW = _dense_kernel_matrix(gamma, lam, Y, h).reshape(2 * n, n, 1, 2) @ Wgrid
+        rowW = K(np.broadcast_to(x, Y.shape), Y) @ Wgrid
+        col = K(Y, np.broadcast_to(xprime, Y.shape))
+        grid = _series_terms(h**2 * rowW[None], h**2 * KW.reshape(2 * n, 2 * n), col, order)
+        for k in range(3, order + 1):                     # [KW]^k K (x, x')
+            terms.append(((-1.0) ** k * grid[k - 1][0], ratio**k * 0.1 / lam))
+    terms += [(0.0, 0.0)] * (order + 1 - len(terms))
+    results, total, err = [], 0.0, 0.0
+    for k, (term, allowance) in enumerate(terms):
+        total, err = total + term, err + allowance
+        tail = ratio ** (k + 1) / (lam * (1.0 - ratio))
+        results.append(BornResult(total, float(tail), float(err)))
+    return results
 
 
 def low_lambda_form(resolvent_at_i, z, order=5):

@@ -26,7 +26,14 @@ from .core import (
     sup_norm,
 )
 from .edge_kernel import halfplane_kernel, halfplane_kernel_batch
-from .kernel_ops import PotentialField, born_series
+from .kernel_ops import (
+    PotentialField,
+    _dense_kernel_matrix,
+    _gather_triples,
+    _series_terms,
+    _triple_pairs,
+    born_series,
+)
 
 __all__ = [
     "MagneticField",
@@ -105,15 +112,39 @@ def transverse_gauge_residual(x, xprime, fd_step=1e-5):
 def _zero_field_kernel(gamma, W, lam, x, xprime, order=2):
     if W is None or W.sup_norm == 0.0:
         return halfplane_kernel(gamma, lam, x, xprime)
-    return born_series(gamma, W, lam, order, x, xprime).value
+    return born_series(gamma, W, lam, order, x, xprime)[-1].value
+
+
+def _sigma_dot_at(D):
+    """sigma . a_t(D) for displacement array D of shape (..., 2)."""
+    at = transverse_gauge(D)
+    out = np.zeros(D.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 1] = at[..., 0] - 1j * at[..., 1]
+    out[..., 1, 0] = at[..., 0] + 1j * at[..., 1]
+    return out
+
+
+def _dress(b, K, X, Xp, kind):
+    """Gauge-dress zero-field kernel values K(X, Xp), shape (..., 2, 2).
+
+    kind "S" gives S_b = e^{i b phi} K and "T" gives T_b = b sigma.a_t S_b.
+    "T*" gives T_b(-i lam)^*(x, y) = -b e^{i b phi} K sigma.a_t(x - y), the
+    mirror expansion's factor, whose gauge factor acts from the right.
+    """
+    X = np.asarray(X, dtype=float)
+    Xp = np.asarray(Xp, dtype=float)
+    S = np.exp(1j * b * gauge_phase(X, Xp))[..., None, None] * K
+    if kind == "S":
+        return S
+    sig_at = _sigma_dot_at(X - Xp)
+    return b * sig_at @ S if kind == "T" else -b * S @ sig_at
 
 
 def S_b_kernel(b, W, gamma, lam, x, xprime, order=2):
     """Phase-dressed zero-field kernel e^{i b phi} (D_{0,W} - i lam)^{-1}."""
     if b < 0:
         raise ValueError(f"b must be nonnegative, got {b}")
-    K = _zero_field_kernel(gamma, W, lam, x, xprime, order)
-    return np.exp(1j * b * gauge_phase(x, xprime)) * K
+    return _dress(b, _zero_field_kernel(gamma, W, lam, x, xprime, order), x, xprime, "S")
 
 
 def T_b_kernel(b, W, gamma, lam, x, xprime, order=2):
@@ -124,18 +155,7 @@ def T_b_kernel(b, W, gamma, lam, x, xprime, order=2):
     xp = np.asarray(xprime, dtype=float)
     if b == 0.0 or np.array_equal(x, xp):
         return np.zeros((2, 2), dtype=complex)
-    at = transverse_gauge(x - xp)
-    sig_at = at[0] * PAULI[0] + at[1] * PAULI[1]
-    return b * sig_at @ S_b_kernel(b, W, gamma, lam, x, xp, order)
-
-
-def _sigma_dot_at(D):
-    """sigma . a_t(D) for displacement array D of shape (..., 2)."""
-    at = transverse_gauge(D)
-    out = np.zeros(D.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 1] = at[..., 0] - 1j * at[..., 1]
-    out[..., 1, 0] = at[..., 0] + 1j * at[..., 1]
-    return out
+    return _dress(b, _zero_field_kernel(gamma, W, lam, x, xp, order), x, xp, "T")
 
 
 def schur_norm_Tb(b, W, gamma, lam, n_angular=24, tol=1e-3, max_extensions=8):
@@ -163,7 +183,7 @@ def schur_norm_Tb(b, W, gamma, lam, n_angular=24, tol=1e-3, max_extensions=8):
         total = 0.0
         r_lo, r_hi = 0.0, 6.0 / lam
         for ext in range(max_extensions):
-            nodes, wts = gauss_legendre_panels(r_lo, r_hi, n_panels=6, n_nodes=8)
+            nodes, wts = gauss_legendre_panels(np.linspace(r_lo, r_hi, 7), 8)
             pts = x[None, None, :] + nodes[:, None, None] * dirs[None, :, :]
             ok = pts[..., 1] > 1e-9 / lam
             flat = pts.reshape(-1, 2)
@@ -201,11 +221,14 @@ def select_lambda0(b, W, gamma, lams):
     raise ValueError("no lambda in the sweep brings the Schur estimate below 1/2")
 
 
-def _dressed_grid(b, gamma, lam, x_list, xprime, n=26):
-    """Cell-centered grid covering the kernels' effective support, plus the
-    dense S_b and T_b matrices on it."""
-    from .kernel_ops import _dense_kernel_matrix
+def _dressed_grid(b, gamma, lam, x_list, xprime, n=26, adjoint=False):
+    """Cell-centered grid covering the kernels' effective support, its step,
+    and the dense T_b matrix on it (T_b(-i lam)^* with adjoint=True) in the
+    (2N, 2N) block layout of kernel_ops._dense_kernel_matrix.
 
+    The gauge phase and sigma.a_t(y - z) depend, like K, only on the triple
+    (i - k, j, l), so the dressing is applied once per triple.
+    """
     pts = np.vstack([np.atleast_2d(x_list), [xprime]])
     c1 = 0.5 * (pts[:, 0].min() + pts[:, 0].max())
     half = 0.5 * (pts[:, 0].max() - pts[:, 0].min()) + 10.0 / lam
@@ -215,11 +238,11 @@ def _dressed_grid(b, gamma, lam, x_list, xprime, n=26):
     g1 = c1 - half + h * (np.arange(n) + 0.5)
     g2 = h * (np.arange(n2) + 0.5)
     Y = np.stack(np.meshgrid(g1, g2, indexing="ij"), axis=-1).reshape(-1, 2)
-    Kmat = _dense_kernel_matrix(gamma, lam, Y, h)
-    D = Y[:, None, :] - Y[None, :, :]
-    phase = np.exp(1j * b * gauge_phase(Y[:, None, :], Y[None, :, :]))
-    Tmat = b * np.einsum("ijab,ijbc->ijac", _sigma_dot_at(D), Kmat * phase[..., None, None])
-    return Y, h, Kmat, Tmat
+    # read one block per triple back out of the gathered kernel matrix
+    p, q = _triple_pairs(n, n2)
+    K = _dense_kernel_matrix(gamma, lam, Y, h).reshape(Y.shape[0], 2, Y.shape[0], 2)[p, :, q, :]
+    T = _dress(b, K, Y[p], Y[q], "T*" if adjoint else "T")
+    return Y, h, _gather_triples(T, n)
 
 
 def magnetic_resolvent(b, W, gamma, lam, order, x, xprime, adjoint=False, n_grid=26):
@@ -245,58 +268,20 @@ def magnetic_resolvent(b, W, gamma, lam, order, x, xprime, adjoint=False, n_grid
     s_norm = 1.0 / lam
     tail = s_norm * t_norm ** (order + 1) / (1.0 - t_norm)
 
-    def phase_to(A, B):
-        return np.exp(1j * b * gauge_phase(A, B))
-
-    out = np.empty((X.shape[0], 2, 2), dtype=complex)
-    if order == 0:
-        for i, xi in enumerate(X):
-            out[i] = S_b_kernel(b, None, g, lam, xi, xprime)
-        return (out[0], tail) if single else (out, tail)
-
-    Y, h, Kmat, Tmat = _dressed_grid(b, g, lam, X, xprime, n=n_grid)
-    if not adjoint:
-        # v_k(y) = (T_b^k)(y, x') column; assembled value = S_b v_k summed
-        v = halfplane_kernel_batch(g, lam, Y, np.broadcast_to(xprime, Y.shape))
-        v = phase_to(Y, xprime[None, :])[:, None, None] * v
-        v = b * np.einsum("yab,ybc->yac", _sigma_dot_at(Y - xprime[None, :]), v)
-        S_rows = [
-            phase_to(xi[None, :], Y)[:, None, None]
-            * halfplane_kernel_batch(g, lam, np.broadcast_to(xi, Y.shape), Y)
-            for xi in X
-        ]
-        for i, xi in enumerate(X):
-            out[i] = S_b_kernel(b, None, g, lam, xi, xprime)
-        for k in range(1, order + 1):
-            for i in range(X.shape[0]):
-                out[i] += h**2 * np.einsum("yab,ybc->ac", S_rows[i], v)
-            if k < order:
-                v = h**2 * np.einsum("yzab,zbc->yac", Tmat, v)
-    else:
-        # mirror expansion sum_k (T_b(-il)^*)^k S_b(-il)^*.  Kernel-wise
-        # S_b(-il)^*(x,y) = e^{ib phi} K(x,y) and
-        # T_b(-il)^*(x,y) = -b e^{ib phi} K(x,y) sigma.a_t(x-y): the gauge
-        # factor acts from the right with the opposite sign.
-        D = Y[:, None, :] - Y[None, :, :]
-        phase_yz = np.exp(1j * b * gauge_phase(Y[:, None, :], Y[None, :, :]))
-        Tstar = -b * np.einsum(
-            "yzab,yzbc->yzac", Kmat * phase_yz[..., None, None], _sigma_dot_at(D)
-        )
-        S_col = phase_to(Y, np.broadcast_to(xprime, Y.shape))[:, None, None] * (
-            halfplane_kernel_batch(g, lam, Y, np.broadcast_to(xprime, Y.shape))
-        )
-        for i, xi in enumerate(X):
-            out[i] = S_b_kernel(b, None, g, lam, xi, xprime)
-            Krow = halfplane_kernel_batch(g, lam, np.broadcast_to(xi, Y.shape), Y)
-            u = -b * np.einsum(
-                "yab,ybc->yac",
-                phase_to(xi[None, :], Y)[:, None, None] * Krow,
-                _sigma_dot_at(xi[None, :] - Y),
-            )
-            for k in range(1, order + 1):
-                out[i] += h**2 * np.einsum("yab,ybc->ac", u, S_col)
-                if k < order:
-                    u = h**2 * np.einsum("yab,yzbc->zac", u, Tstar)
+    out = np.stack([S_b_kernel(b, None, g, lam, xi, xprime) for xi in X])
+    if order > 0:
+        Y, h, T = _dressed_grid(b, g, lam, X, xprime, n=n_grid, adjoint=adjoint)
+        Yc = np.broadcast_to(xprime, Y.shape)
+        Xr = np.broadcast_to(X[:, None, :], (X.shape[0],) + Y.shape)
+        Yr = np.broadcast_to(Y, Xr.shape)
+        # direct: S_b(x_i, .) [T_b]^(k-1) T_b(., x'); mirror: the adjoint
+        # factors T_b(-il)^*(x_i, .) [T_b(-il)^*]^(k-1) S_b(-il)^*(., x'),
+        # where S_b(-il)^* is the same phase-dressed kernel as S_b
+        row_kind, col_kind = ("T*", "S") if adjoint else ("S", "T")
+        rows = _dress(b, halfplane_kernel_batch(g, lam, Xr, Yr), Xr, Yr, row_kind)
+        col = _dress(b, halfplane_kernel_batch(g, lam, Y, Yc), Y, Yc, col_kind)
+        for term in _series_terms(h**2 * rows, h**2 * T, col, order):
+            out += term
     return (out[0], tail) if single else (out, tail)
 
 

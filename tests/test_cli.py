@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from dirac_edge.cli import ConfigError, list_experiments, main, thread_count
+from dirac_edge.cli import list_experiments, main
 from dirac_edge.edge_kernel import halfplane_kernel
 
 ALL_EXPERIMENTS = [
@@ -139,12 +139,3 @@ def test_combes_thomas_experiment_within_bound(tmp_path):
     assert float(rows[0]["bound"]) == pytest.approx(2.0)
     assert float(rows[0]["measured"]) <= 1.1 * float(rows[0]["bound"])
 
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("DIRAC_EDGE_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("DIRAC_EDGE_THREADS", "0")
-    assert thread_count() >= 1
-    monkeypatch.setenv("DIRAC_EDGE_THREADS", "many")
-    with pytest.raises(ConfigError):
-        thread_count()

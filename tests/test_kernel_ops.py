@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from dirac_edge.core import QuadratureError, SpectralPoint
-from dirac_edge.edge_kernel import halfplane_kernel, halfplane_kernel_batch
+from dirac_edge.closed_form import bulk_plane_kernel
+from dirac_edge.core import (
+    PAULI,
+    SIGMA_1,
+    QuadratureError,
+    SpectralPoint,
+    gauss_legendre_panels,
+)
+from dirac_edge.edge_kernel import edge_F_batch, halfplane_kernel, halfplane_kernel_batch
 from dirac_edge import kernel_ops
 from dirac_edge.fiber import discretize_fiber
 from dirac_edge.kernel_ops import (
@@ -14,7 +21,7 @@ from dirac_edge.kernel_ops import (
     low_lambda_form,
     resolvent_kernel,
 )
-from dirac_edge.magnetic import dirac_stencil_2d
+from dirac_edge.magnetic import _dressed_grid, dirac_stencil_2d, gauge_phase, transverse_gauge
 from numpy.polynomial.legendre import leggauss
 
 RNG = np.random.default_rng(419)
@@ -342,7 +349,7 @@ def test_born_series_order_zero_and_refusals():
     g, lam = 1.0, 2.0
     x, xp = np.array([0.3, 0.8]), np.array([1.0, 0.4])
     W = PotentialField.constant(w3=0.2)
-    out = born_series(g, W, lam, 0, x, xp)
+    (out,) = born_series(g, W, lam, 0, x, xp)
     assert np.max(np.abs(out.value - halfplane_kernel(g, lam, x, xp))) < 1e-14
     with pytest.raises(ValueError, match="order"):
         born_series(g, W, lam, 6, x, xp)
@@ -360,19 +367,88 @@ def test_born_series_matches_massive_fiber_oracle():
     exact = _assembled_massive_kernel(m, lam, g, x, xp)
     W = PotentialField.constant(w3=m)
     ratio = W.sup_norm / lam
-    diffs, values = [], []
-    for order in (0, 1, 2):
-        b = born_series(g, W, lam, order, x, xp)
-        diffs.append(np.max(np.abs(b.value - exact)))
-        values.append(b.value)
-        assert diffs[-1] < b.tail_bound + b.error
+    # one call returns every partial sum; order 3 is the first grid term
+    results = born_series(g, W, lam, 3, x, xp)
+    assert len(results) == 4
+    diffs = [np.max(np.abs(b.value - exact)) for b in results]
+    for d, b in zip(diffs, results):
+        assert d < b.tail_bound + b.error
     assert diffs[2] < 1e-3
+    diffs, values = diffs[:3], [b.value for b in results[:3]]
     # successive-step contraction: each added term within the geometric bound
     for j, (a, b_) in enumerate(zip(values[:-1], values[1:])):
         assert np.max(np.abs(b_ - a)) < 1.5 * ratio ** (j + 1) / lam
     # observed convergence exponent within 10% of log(|W|/lam)
     slope = np.polyfit([0, 1, 2], np.log(diffs), 1)[0]
     assert abs(slope - np.log(ratio)) < 0.1 * abs(np.log(ratio))
+
+
+# ---------------------------------------------------------------------------
+# uniform-grid operator
+# ---------------------------------------------------------------------------
+
+def _pair_blocks(M):
+    """(2N, 2N) block matrix as (N, N, 2, 2) blocks per grid pair."""
+    n = M.shape[0] // 2
+    return M.reshape(n, 2, n, 2).transpose(0, 2, 1, 3)
+
+
+def _disc_average_bulk(lam, rho, n_ang=64):
+    """Average of the bulk kernel over the disc of radius rho, by polar
+    Gauss-Legendre quadrature graded toward the singular center."""
+    r, wr = gauss_legendre_panels(rho * kernel_ops._base_edges(24), 10)
+    phi = 2.0 * np.pi * (np.arange(n_ang) + 0.5) / n_ang
+    d = r[:, None, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)[None]
+    B = bulk_plane_kernel(lam, d)
+    return np.einsum("r,rpab->ab", wr * r, B) * (2.0 * np.pi / n_ang) / (np.pi * rho**2)
+
+
+def test_grid_operator_on_both_grid_layouts():
+    b, g, lam = 0.5, 1.0, 2.0
+    x, xp = np.array([0.1, 0.45]), np.array([0.3, 0.6])
+    Yd, hd = kernel_ops._dense_grid(x, xp, lam, 5)                    # 5 x 5, edge-aligned in x1
+    Yc, hc, _ = _dressed_grid(b, g, lam, x, xp, n=6)                   # 6 x 4, cell-centered
+    assert Yc.shape == (24, 2)
+    for Y, h in ((Yd, hd), (Yc, hc)):
+        n = Y.shape[0]
+        M = _pair_blocks(kernel_ops._dense_kernel_matrix(g, lam, Y, h))
+        P, Q = np.nonzero(~np.eye(n, dtype=bool))
+        ref = halfplane_kernel_batch(g, lam, Y[P], Y[Q])
+        assert np.max(np.abs(M[P, Q] - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # diagonal cells: reflected term at face value plus the bulk cell average
+        edge = lam * edge_F_batch(np.zeros(n), 2.0 * lam * Y[:, 1], g) @ SIGMA_1 / (4.0 * np.pi)
+        cell = _disc_average_bulk(lam, h / np.sqrt(np.pi))
+        diag = M[np.arange(n), np.arange(n)]
+        assert np.max(np.abs(diag - edge - cell)) <= 1e-10 * np.max(np.abs(cell))
+        # a gather is only valid on the lattice
+        jittered = Y.copy()
+        jittered[3, 0] += 1e-3
+        for bad, step in ((Y[::-1], h), (jittered, h), (Y, 1.01 * h)):
+            with pytest.raises(ValueError, match="lattice"):
+                kernel_ops._dense_kernel_matrix(g, lam, bad, step)
+    # the dressed matrices, pair by pair: T_b = b sigma.a_t e^{ib phi} K and
+    # T_b(-i lam)^* = -b e^{ib phi} K sigma.a_t
+    K = _pair_blocks(kernel_ops._dense_kernel_matrix(g, lam, Yc, hc))
+    phase = np.exp(1j * b * gauge_phase(Yc[:, None, :], Yc[None, :, :]))[..., None, None]
+    at = transverse_gauge(Yc[:, None, :] - Yc[None, :, :])
+    sig_at = at[..., 0, None, None] * PAULI[0] + at[..., 1, None, None] * PAULI[1]
+    for adjoint, want in ((False, b * sig_at @ (phase * K)), (True, -b * (phase * K) @ sig_at)):
+        Y, h, T = _dressed_grid(b, g, lam, x, xp, n=6, adjoint=adjoint)
+        assert np.array_equal(Y, Yc) and h == hc
+        assert np.max(np.abs(_pair_blocks(T) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_gauss_legendre_panels_matches_per_panel_rule():
+    # one set of edges of each kind in use: uniform (edge_kernel,
+    # schur_norm_Tb), geometric (hs_calculus), dyadic (polar patches)
+    x, w = leggauss(8)
+    for edges in (np.linspace(-3.7, 3.7, 19), np.geomspace(1e-4, 0.5, 13),
+                  kernel_ops._base_edges(10)):
+        nodes, wts = gauss_legendre_panels(edges, 8)
+        pairs = list(zip(edges[:-1], edges[1:]))
+        assert np.array_equal(nodes, np.concatenate([0.5 * (a + c) + 0.5 * (c - a) * x
+                                                     for a, c in pairs]))
+        assert np.array_equal(wts, np.concatenate([0.5 * (c - a) * w for a, c in pairs]))
 
 
 # ---------------------------------------------------------------------------
