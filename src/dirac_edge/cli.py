@@ -277,8 +277,7 @@ def _exp_bulk_edge(cfg):
     bs = _get(cfg, "b_values", [1.0])
     gs = _get(cfg, "gamma_values", [1.0])
     gaps = _get(cfg, "gaps", [[0, 0], [1, 1]])
-    lo, hi = _get(cfg, "xi_range", [-8.0, 3.0])
-    n_xi = int(_get(cfg, "n_xi", 170))
+    xi_range = _get(cfg, "xi_range", [-8.0, 3.0])
     Ls = _get(cfg, "L_values", [])
     rows = []
     meta = {"rho_L": {}}
@@ -286,8 +285,7 @@ def _exp_bulk_edge(cfg):
         for g in gs:
             for nb, na in gaps:
                 w = gap_window(b, int(nb), int(na))
-                disp = dispersion_curves(g, b, np.linspace(lo, hi, n_xi), int(na) + 2)
-                cond = edge_conductance(disp, w, 0.5 * (w.e3 + w.e4))
+                cond = edge_conductance(g, b, w, 0.5 * (w.e3 + w.e4), xi_range)
                 tpi = 2.0 * np.pi * ids_derivative(b, w)
                 rows.append([b, g, int(nb), int(na), cond, tpi, abs(tpi - round(tpi))])
     for L in Ls:
@@ -336,7 +334,8 @@ EXPERIMENTS = {
     "dispersion": (_exp_dispersion, ["gamma", "b"],
                    "fiber eigenvalue branches over a momentum grid"),
     "bulk-edge": (_exp_bulk_edge, [],
-                  "edge conductance vs 2*pi*d/db of the bulk IDS per gap"),
+                  "edge conductance (eigenvalue counts at the ends of xi_range; "
+                  "n_xi unused) vs 2*pi*d/db of the bulk IDS per gap"),
     "combes-thomas": (_exp_combes_thomas, ["b", "xi"],
                       "weighted-resolvent norm vs the (1-C1)^-1 |v|^-1 bound"),
 }

@@ -78,30 +78,15 @@ def fiber_kernel(gamma, xi, t, tprime):
     return direct + alpha(gamma, xi) * reflected @ SIGMA_1
 
 
-def _whole_line_kernel_batch(xi, z):
-    """Vectorized whole_line_kernel over an offset array; sgn(0) mapped to +1.
-
-    Internal helper for quadrature; entries at z == 0 must be masked by the
-    caller (they multiply a vanishing weight there).
-    """
-    z = np.asarray(z, dtype=float)
-    br = float(bracket_xi(xi))
-    s = np.where(z >= 0, 1.0, -1.0)
-    pref = np.exp(-br * np.abs(z)) / (2.0 * br)
-    out = np.empty(z.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = 1j * pref
-    out[..., 1, 1] = 1j * pref
-    out[..., 0, 1] = pref * (xi + br * s)
-    out[..., 1, 0] = pref * (xi - br * s)
-    return out
-
-
 def apply_fiber_resolvent(gamma, xi, psi, h, max_step=0.01):
     """Apply the half-line fiber resolvent to a sampled spinor.
 
     psi has shape (n, 2) on the uniform grid t_j = j*h.  The direct-term
     integral is split at t' = t with one-sided kernel limits so the kink does
-    not degrade the trapezoid rule; the reflected term is smooth.
+    not degrade the trapezoid rule; the reflected term is smooth.  Both
+    kernel terms are exponentials in t and t', so the trapezoid sums cost
+    O(n): the direct term is a forward and a backward decaying recursion,
+    the reflected term has rank one.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 2 or psi.shape[1] != 2:
@@ -113,27 +98,26 @@ def apply_fiber_resolvent(gamma, xi, psi, h, max_step=0.01):
     t = h * np.arange(n)
     al = complex(alpha(gamma, xi))
     br = float(bracket_xi(xi))
+    # whole-line kernel matrices at z -> 0+ and z -> 0-
+    plus, minus = (np.array([[1j, xi + s], [xi - s, 1j]]) / (2.0 * br) for s in (br, -br))
+    wpsi = h * psi                      # trapezoid weights times psi
+    wpsi[[0, -1]] *= 0.5
 
     # Reflected part: smooth in (t + t'); plain trapezoid.  The t=t'=0 corner
     # value is irrelevant because psi vanishes near the grid ends.
-    refl = _whole_line_kernel_batch(xi, t[:, None] + t[None, :])
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    phi = al * np.einsum("ijab,jb,j->ia", refl, psi @ SIGMA_1.T, w)
+    decay = np.exp(-br * t)
+    phi = al * np.outer(decay, plus @ SIGMA_1 @ (decay @ wpsi))
 
-    # Direct part: trapezoid on [0, t_i] and [t_i, inf) separately.  At the
-    # junction the two one-sided limits average to the kernel with the sign
-    # terms dropped.
-    direct = _whole_line_kernel_batch(xi, t[:, None] - t[None, :])
-    diag_avg = np.array([[1j, xi], [xi, 1j]], dtype=complex) / (2.0 * br)
-    idx = np.arange(n)
-    direct[idx, idx] = diag_avg
-    wmat = np.full((n, n), h)
-    wmat[:, 0] = 0.5 * h
-    wmat[:, -1] = 0.5 * h
-    # endpoints of the split at j == i also carry half weight on each side,
-    # which combine to a full weight on the averaged value; interior j keep h.
-    phi += np.einsum("ijab,jb,ij->ia", direct, psi, wmat)
+    # Direct part: trapezoid on [0, t_i] and [t_i, inf) separately; the
+    # half weights of the split at j == i combine to a full weight on the
+    # average of the one-sided limits.  below[i] = sum_{j<i} q^(i-j) w_j psi_j
+    # and above[i] = sum_{j>i} q^(j-i) w_j psi_j.
+    q = np.exp(-br * h)
+    below, above = np.zeros((n, 2), complex), np.zeros((n, 2), complex)
+    for i in range(1, n):
+        below[i] = q * (below[i - 1] + wpsi[i - 1])
+        above[-i - 1] = q * (above[-i] + wpsi[-i])
+    phi += below @ plus.T + above @ minus.T + wpsi @ (0.5 * (plus + minus)).T
     return phi
 
 

@@ -183,6 +183,11 @@ class DispersionData:
     labels: list = field(default_factory=list)
 
 
+def _shared_T_dom(b, xi_values):
+    """Half-line domain covering every orbit center -xi/b (one shared grid)."""
+    return max(np.max(-np.asarray(xi_values, dtype=float) / b), 0.0) + 6.0 / np.sqrt(b)
+
+
 def dispersion_curves(gamma, b, xi_grid, n_branches, h=None, overlap_min=0.9):
     """Fiber eigenvalue branches E_n(xi), matched by eigenvector overlap.
 
@@ -192,7 +197,7 @@ def dispersion_curves(gamma, b, xi_grid, n_branches, h=None, overlap_min=0.9):
     """
     xi_grid = np.asarray(xi_grid, dtype=float)
     emax = np.sqrt(2.0 * b * n_branches) + 0.8 * np.sqrt(b)
-    T_dom = max(np.max(-xi_grid / b), 0.0) + 6.0 / np.sqrt(b)
+    T_dom = _shared_T_dom(b, xi_grid)
     tracks = []                  # dicts: start index, values list, last vector
     active = []
     for k, xi in enumerate(xi_grid):
@@ -280,32 +285,31 @@ def gap_window(b, n_below, n_above):
     return GapWindow(e1, e2, e3, e4)
 
 
-def _spectral_flow(dispersion, e, slope_tol):
-    """Signed count of dispersion-branch crossings of the energy e."""
-    total = 0
-    for br in dispersion.branches:
-        vals = br[np.isfinite(br)]
-        s = np.sign(vals - e)
-        if np.any(s == 0):
-            raise RuntimeError(f"branch exactly touches e={e}; choose a different e")
-        for k in np.where(s[:-1] * s[1:] < 0)[0]:
-            de = vals[k + 1] - vals[k]
-            if abs(de) < slope_tol:
-                raise RuntimeError(
-                    f"crossing tangent to e={e} (|dE|={abs(de):.2e}); choose a different e"
-                )
-            total += 1 if de > 0 else -1
-    return int(total)
+def _count_below(diag, off, e):
+    """Number of eigenvalues below e of the symmetric tridiagonal (diag, off):
+    the negative pivots of its LDL^T factorization minus e (a Sturm count).
+    A pivot that is exactly zero is replaced by -pivmin, as in LAPACK dstebz."""
+    off2 = (np.asarray(off) ** 2).tolist()
+    pivmin = np.finfo(float).tiny * max([1.0] + off2)
+    count, d = 0, 1.0
+    for a, o2 in zip(np.asarray(diag).tolist(), [0.0] + off2):
+        d = (a - e) - o2 / d
+        if abs(d) <= pivmin:
+            d = -pivmin
+        count += d < 0.0
+    return count
 
 
-def edge_conductance(dispersion, window, e, slope_tol=1e-6):
+def edge_conductance(gamma, b, window, e, xi_range):
     """Edge conductance of the window: net signed spectral flow.
 
     e must lie inside one of the window's gaps [e1,e2] or [e3,e4]; the
     result is the flow through the upper gap minus the flow through the
     lower gap (the other gap is probed at its center), i.e. the signed
     number of edge branches entering the plateau window, an integer
-    independent of e within the gap.  Near-tangent crossings raise.
+    independent of e within the gap.  The fibers at both ends of xi_range
+    share one domain and so one dimension: the flow through an energy is
+    N(e, xi_lo) - N(e, xi_hi), N the number of eigenvalues below e.
     """
     if window.e1 <= e <= window.e2:
         e_low, e_up = e, 0.5 * (window.e3 + window.e4)
@@ -313,9 +317,10 @@ def edge_conductance(dispersion, window, e, slope_tol=1e-6):
         e_low, e_up = 0.5 * (window.e1 + window.e2), e
     else:
         raise ValueError(f"energy {e} is not inside a gap of the window")
-    return _spectral_flow(dispersion, e_up, slope_tol) - _spectral_flow(
-        dispersion, e_low, slope_tol
-    )
+    lo, hi = (discretize_fiber(gamma, xi, b, T_dom=_shared_T_dom(b, xi_range))
+              for xi in xi_range)
+    flow = lambda en: _count_below(lo.diag, lo.off, en) - _count_below(hi.diag, hi.off, en)
+    return flow(e_up) - flow(e_low)
 
 
 def bulk_ids(b, window, h=None):
@@ -386,17 +391,14 @@ def edge_density_rho(gamma, b, F, L, h=None, dxi=None, tail_tol=1e-4):
     eigenpairs with |E| <= support_max are computed.  The xi-range grows
     until the added tail falls below tail_tol, else an error is raised.
     """
-    g = gamma.gamma if isinstance(gamma, BoundaryParam) else BoundaryParam(gamma).gamma
     L = float(L)
-    if dxi is None:
-        dxi = 0.1 * np.sqrt(b)
     span = 6.0 / np.sqrt(b)
     T_dom = L + 2 * span
     emax = getattr(F, "support_max", None)
 
     def integrand(xi):
         # tail momenta push the orbit center beyond L; grow the domain with it
-        fib = discretize_fiber(g, xi, b, h=h, T_dom=max(T_dom, -xi / b + span))
+        fib = discretize_fiber(gamma, xi, b, h=h, T_dom=max(T_dom, -xi / b + span))
         if emax is None:
             E, psi = fib.eigensystem()
         else:
@@ -410,19 +412,33 @@ def edge_density_rho(gamma, b, F, L, h=None, dxi=None, tail_tol=1e-4):
         w[0] = w[-1] = fib.h / 2.0
         return float(w @ dens)
 
-    lo, hi = -b * (L + span), b * span
+    total, _ = _momentum_integral(integrand, b, L, dxi, tail_tol, 1.0, 6)
+    return total / (2.0 * np.pi * L)
+
+
+def _momentum_integral(integrand, b, depth, dxi, tail_tol, floor, max_extensions):
+    """Riemann sum, spacing dxi (default 0.1 sqrt(b)), of integrand over xi
+    in [-b (depth + span), b span] with span = 6/sqrt(b), grown by b span at
+    both ends until the added tail is below tail_tol * max(|total|, floor)
+    (sup norms for arrays).  Returns (total, last tail); raises
+    RuntimeError if max_extensions growths do not converge."""
+    if dxi is None:
+        dxi = 0.1 * np.sqrt(b)
+    span = 6.0 / np.sqrt(b)
+    lo, hi, step = -b * (depth + span), b * span, b * span
     xs = np.arange(lo, hi + dxi / 2, dxi)
-    total = np.sum([integrand(x) for x in xs]) * dxi
-    for _ in range(6):
-        new_lo = np.arange(lo - b * span, lo, dxi)
-        new_hi = np.arange(hi + dxi, hi + b * span + dxi / 2, dxi)
-        tail = (np.sum([integrand(x) for x in new_lo])
-                + np.sum([integrand(x) for x in new_hi])) * dxi
+    total = np.sum([integrand(x) for x in xs], axis=0) * dxi
+    for _ in range(max_extensions):
+        new_lo = np.arange(lo - step, lo, dxi)
+        new_hi = np.arange(hi + dxi, hi + step + dxi / 2, dxi)
+        tail = (np.sum([integrand(x) for x in new_lo], axis=0)
+                + np.sum([integrand(x) for x in new_hi], axis=0)) * dxi
         total += tail
-        lo, hi = lo - b * span, hi + b * span + dxi
-        if abs(tail) < tail_tol * max(abs(total), 1.0):
-            return total / (2.0 * np.pi * L)
-    raise RuntimeError(f"xi-integration tail did not converge (last tail {tail:.2e})")
+        lo, hi = lo - step, hi + step + dxi
+        if np.max(np.abs(tail)) < tail_tol * max(np.max(np.abs(total)), floor):
+            return total, tail
+    raise RuntimeError(f"xi-integration tail did not converge "
+                       f"(last tail {np.max(np.abs(tail)):.2e})")
 
 
 def combes_thomas_check(H, z, C1, x0):

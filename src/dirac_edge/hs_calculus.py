@@ -15,8 +15,8 @@ import scipy.linalg
 from numpy.polynomial import Polynomial
 from numpy.polynomial.hermite_e import HermiteE
 
-from .core import BoundaryParam, QuadratureError, gauss_legendre_panels
-from .fiber import discretize_fiber
+from .core import QuadratureError, gauss_legendre_panels
+from .fiber import _momentum_integral, discretize_fiber
 
 __all__ = [
     "SchwartzFunction",
@@ -173,7 +173,29 @@ class HsQuadrature:
     max_refinements: int = 3
 
 
-def _hs_sum(F, N, H, quad, B=None):
+_SOLVE_BYTES = 16 * 2**20  # bound on one batch's (dim, shifts, columns) work array
+
+
+def _shifted_solves(diag, lower, upper, B, z):
+    """X[:, k] = (T - z_k)^{-1} B for every shift z_k, by a Thomas recursion
+    vectorized over the shifts.  No pivoting is needed: every leading block
+    of T - z is Hermitian minus z with Im z != 0, so it is nonsingular."""
+    X = np.empty((diag.size, z.size, B.shape[1]), dtype=complex)
+    c = np.empty((diag.size - 1, z.size), dtype=complex)
+    piv = diag[0] - z
+    X[0] = B[0] / piv[:, None]
+    for i in range(1, diag.size):
+        c[i - 1] = upper[i - 1] / piv
+        piv = (diag[i] - z) - lower[i - 1] * c[i - 1]
+        X[i] = (B[i] - lower[i - 1] * X[i - 1]) / piv[:, None]
+    for i in range(diag.size - 2, -1, -1):
+        X[i] -= c[i][:, None] * X[i + 1]
+    return X
+
+
+def _hs_sum(F, N, tri, B, quad, Q=None):
+    """pi^{-1} Q sum over the contour nodes of dbar F_N(z) (T - z)^{-1} B, for
+    T given by its (diagonal, subdiagonal, superdiagonal); Q None = identity."""
     a, bmax = F.support
     pad = 2.0  # extension support reaches one unit past supp F in u
     ue = np.linspace(a - pad, bmax + pad, quad.u_panels + 1)
@@ -194,37 +216,26 @@ def _hs_sum(F, N, H, quad, B=None):
     flatD = D.ravel()
     flatZ = (U + 1j * V).ravel()
     dmax = np.max(np.abs(flatD))
-    dim = H.shape[0]
-    rhs_full = B is None
-    if rhs_full:
-        B = np.eye(dim)
-    acc = np.zeros((dim, B.shape[1]), dtype=complex)
+    acc = np.zeros(B.shape, dtype=complex)
     if dmax == 0.0:
         return acc
     keep = np.abs(flatD) > 1e-14 * dmax
-    # tridiagonalize once (exact unitary similarity), then each resolvent is
-    # a banded solve, O(dim) per right-hand side
-    T, Q = scipy.linalg.hessenberg(H, calc_q=True)
-    ab = np.zeros((3, dim), dtype=complex)
-    ab[0, 1:] = np.diag(T, 1)
-    ab[2, :-1] = np.diag(T, -1)
-    diagT = np.diag(T).copy()
-    QB = Q.conj().T @ B
-    for d, z in zip(flatD[keep], flatZ[keep]):
-        ab[1] = diagT - z
-        acc += d * scipy.linalg.solve_banded((1, 1), ab, QB,
-                                             overwrite_ab=False, check_finite=False)
+    flatD, flatZ = flatD[keep], flatZ[keep]
+    chunk = max(1, _SOLVE_BYTES // (16 * B.size))
+    for k in range(0, flatZ.size, chunk):
+        X = _shifted_solves(*tri, B, flatZ[k : k + chunk])
+        acc += np.tensordot(flatD[k : k + chunk], X, axes=(0, 1))
     # sign pinned by the diagonal self-calibration test: with
     # dbar = (d_u + i d_v)/2 the reconstruction is +pi^{-1} int dbar F (H-z)^{-1}
-    return (Q @ acc) / np.pi
+    return (acc if Q is None else Q @ acc) / np.pi
 
 
-def _hs_converged(F, N, H, quad, B=None):
-    prev = _hs_sum(F, N, H, quad, B)
+def _hs_converged(F, N, tri, B, quad, Q=None):
+    prev = _hs_sum(F, N, tri, B, quad, Q)
     for _ in range(quad.max_refinements):
         quad = replace(quad, u_panels=2 * quad.u_panels,
                        v_nodes=quad.v_nodes + 2)
-        cur = _hs_sum(F, N, H, quad, B)
+        cur = _hs_sum(F, N, tri, B, quad, Q)
         if np.max(np.abs(cur - prev)) < quad.tol * max(1.0, np.max(np.abs(cur))):
             return cur
         prev = cur
@@ -239,7 +250,11 @@ def hs_apply_matrix(F, N, H, quad=None):
         raise ValueError("H must be Hermitian")
     if quad is None:
         quad = HsQuadrature()
-    return _hs_converged(F, N, H, quad)
+    # tridiagonalize once (exact unitary similarity H = Q T Q^*), then each
+    # resolvent is a tridiagonal solve, O(dim) per right-hand side
+    T, Q = scipy.linalg.hessenberg(H, calc_q=True)
+    tri = (np.diag(T), np.diag(T, -1), np.diag(T, 1))
+    return _hs_converged(F, N, tri, Q.conj().T, quad, Q)
 
 
 def _dof_to_node_map(fib):
@@ -301,7 +316,7 @@ def fiber_F_kernel(F, gamma, b, xi, t, tprime, grid=None, method="eig", N=4,
         M_col = (V * F(E)[None, :]) @ (V.T @ col.T)
     elif method == "hs":
         # apply F(H) to the two interpolation vectors only
-        M_col = _hs_converged(F, N, fib.dense(), quad or HsQuadrature(), col.T)
+        M_col = _hs_converged(F, N, (fib.diag, fib.off, fib.off), col.T, quad or HsQuadrature())
     else:
         raise ValueError(f"unknown method {method!r}")
     return (row @ M_col) / fib.h
@@ -315,10 +330,7 @@ def edge_bulk_diagonal_gap(F, gamma, b, x2_grid, h=None, dxi=None,
     half-line and whole-line fibers respectively; the difference decays
     faster than any power of x2 when F' is supported in bulk spectral gaps.
     """
-    g = gamma.gamma if isinstance(gamma, BoundaryParam) else BoundaryParam(gamma).gamma
     x2_grid = np.asarray(x2_grid, dtype=float)
-    if dxi is None:
-        dxi = 0.1 * np.sqrt(b)
     span = 6.0 / np.sqrt(b)
     xmax = float(np.max(x2_grid))
     emax = F.support_max
@@ -332,21 +344,10 @@ def edge_bulk_diagonal_gap(F, gamma, b, x2_grid, h=None, dxi=None,
 
     def integrand(xi):
         T_edge = max(xmax + 2 * span, -xi / b + span)
-        fib_e = discretize_fiber(g, xi, b, h=h, T_dom=T_edge)
+        fib_e = discretize_fiber(gamma, xi, b, h=h, T_dom=T_edge)
         T_bulk = 2 * (abs(xi / b) + xmax + span)
         fib_b = discretize_fiber(None, xi, b, h=h, T_dom=T_bulk, whole_line=True)
         return density(fib_e) - density(fib_b)
 
-    lo, hi = -b * (xmax + span), b * span
-    xs = np.arange(lo, hi + dxi / 2, dxi)
-    total = np.sum([integrand(x) for x in xs], axis=0) * dxi
-    for _ in range(max_extensions):
-        new_lo = np.arange(lo - b * span, lo, dxi)
-        new_hi = np.arange(hi + dxi, hi + b * span + dxi / 2, dxi)
-        tail = (np.sum([integrand(x) for x in new_lo], axis=0)
-                + np.sum([integrand(x) for x in new_hi], axis=0)) * dxi
-        total += tail
-        lo, hi = lo - b * span, hi + b * span + dxi
-        if np.max(np.abs(tail)) < tail_tol * max(np.max(np.abs(total)), 1e-6):
-            return total / (2.0 * np.pi)
-    raise RuntimeError("xi-integration tail did not converge")
+    total, _ = _momentum_integral(integrand, b, xmax, dxi, tail_tol, 1e-6, max_extensions)
+    return total / (2.0 * np.pi)

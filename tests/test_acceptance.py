@@ -23,7 +23,6 @@ from dirac_edge.edge_kernel import (
 )
 from dirac_edge.fiber import (
     discretize_fiber,
-    dispersion_curves,
     edge_conductance,
     edge_density_rho,
     gap_window,
@@ -267,7 +266,6 @@ def test_criterion_10_landau_levels_richardson():
 
 def test_criterion_11_bulk_edge_correspondence():
     t0 = time.perf_counter()
-    xi = np.linspace(-8.0, 3.0, 170)
     match_ok, int_ok = True, True
     worst_dist = 0.0
     for b in (0.8, 1.0, 1.25):
@@ -275,9 +273,8 @@ def test_criterion_11_bulk_edge_correspondence():
                   for gap in ((0, 0), (1, 1))}
         for g in (0.5, 1.0, 2.0):
             for gap, val in ids2pi.items():
-                disp = dispersion_curves(g, b, xi, gap[1] + 2)
                 w = gap_window(b, *gap)
-                sigma = edge_conductance(disp, w, 0.5 * (w.e3 + w.e4))
+                sigma = edge_conductance(g, b, w, 0.5 * (w.e3 + w.e4), (-8.0, 3.0))
                 dist = abs(val - round(val))
                 worst_dist = max(worst_dist, dist)
                 int_ok = int_ok and dist < 1e-2

@@ -140,6 +140,42 @@ def test_apply_fiber_resolvent_inverts_operator():
     assert abs(phi[0, 1] - g * phi[0, 0]) < 5e-4
 
 
+def _dense_fiber_resolvent(gamma, xi, psi, h):
+    """Reference: the same trapezoid sums with n x n kernel matrices, O(n^2)."""
+    n = psi.shape[0]
+    t = h * np.arange(n)
+    br = float(bracket_xi(xi))
+
+    def kernel(z):
+        s = np.where(z >= 0, 1.0, -1.0)
+        pref = np.exp(-br * np.abs(z)) / (2.0 * br)
+        out = np.empty(z.shape + (2, 2), dtype=complex)
+        out[..., 0, 0] = out[..., 1, 1] = 1j * pref
+        out[..., 0, 1] = pref * (xi + br * s)
+        out[..., 1, 0] = pref * (xi - br * s)
+        return out
+
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+    refl = kernel(t[:, None] + t[None, :])
+    phi = alpha(gamma, xi) * np.einsum("ijab,jb,j->ia", refl, psi @ SIGMA_1.T, w)
+    direct = kernel(t[:, None] - t[None, :])
+    direct[np.arange(n), np.arange(n)] = np.array([[1j, xi], [xi, 1j]]) / (2.0 * br)
+    return phi + np.einsum("ijab,jb,j->ia", direct, psi, w)
+
+
+def test_apply_fiber_resolvent_matches_dense_sum():
+    h = 0.01
+    t = h * np.arange(200)
+    psi = np.stack([np.exp(-((t - 1.0) ** 2) / 0.1) * (1 + 0.3j),
+                    RNG.normal(size=t.size) + 1j * RNG.normal(size=t.size)], axis=1)
+    for g in (0.5, 1.7):
+        for xi in (-2.0, 0.0, 2.0):
+            ref = _dense_fiber_resolvent(g, xi, psi, h)
+            phi = apply_fiber_resolvent(g, xi, psi, h)
+            assert np.max(np.abs(phi - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_apply_fiber_resolvent_rejects_coarse_grid():
     psi = np.zeros((10, 2), dtype=complex)
     with pytest.raises(ValueError):

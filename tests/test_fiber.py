@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from dirac_edge.core import SpectralPoint
 from dirac_edge.fiber import (
     GapWindow,
+    _count_below,
     assembled_bulk_diagonal,
     bulk_ids,
     combes_thomas_check,
@@ -128,23 +130,96 @@ def test_gap_window_validation():
     assert w.e1 < w.e2 < -np.sqrt(2) < np.sqrt(2) < w.e3 < w.e4
 
 
+def _spectral_flow(dispersion, e, slope_tol=1e-6):
+    """Oracle: signed count of dispersion-branch crossings of the energy e."""
+    total = 0
+    for br in dispersion.branches:
+        vals = br[np.isfinite(br)]
+        s = np.sign(vals - e)
+        if np.any(s == 0):
+            raise RuntimeError(f"branch exactly touches e={e}; choose a different e")
+        for k in np.where(s[:-1] * s[1:] < 0)[0]:
+            de = vals[k + 1] - vals[k]
+            if abs(de) < slope_tol:
+                raise RuntimeError(
+                    f"crossing tangent to e={e} (|dE|={abs(de):.2e}); choose a different e"
+                )
+            total += 1 if de > 0 else -1
+    return int(total)
+
+
+def _branch_conductance(dispersion, window):
+    """Oracle: window conductance by tracking branches through both gaps."""
+    return (_spectral_flow(dispersion, 0.5 * (window.e3 + window.e4))
+            - _spectral_flow(dispersion, 0.5 * (window.e1 + window.e2)))
+
+
+def _eigh_count(diag, off, e):
+    return len(eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
+                                select_range=(-np.inf, e)))
+
+
+def test_sturm_count_matches_eigensolver():
+    mats = [(f.diag, f.off) for f in (discretize_fiber(1.0, 0.0, 1.0),
+                                      discretize_fiber(0.4, 1.0, 1.3),
+                                      discretize_fiber(2.0, -1.0, 1.0))]
+    mats += [(RNG.normal(size=n), RNG.normal(size=n - 1)) for n in (1, 2, 7, 60)]
+    for diag, off in mats:
+        E = eigh_tridiagonal(diag, off, eigvals_only=True)
+        gaps = np.diff(E)
+        # energies 1e-8 either side of eigenvalues isolated by more than 1e-6
+        iso = [E[k] for k in range(E.size)
+               if (k == 0 or gaps[k - 1] > 1e-6) and (k == E.size - 1 or gaps[k] > 1e-6)]
+        picks = RNG.choice(iso, size=min(4, len(iso)), replace=False)
+        energies = np.concatenate([picks - 1e-8, picks + 1e-8,
+                                   RNG.uniform(E[0] - 1.0, E[-1] + 1.0, 3)])
+        for e in energies:
+            assert _count_below(diag, off, e) == _eigh_count(diag, off, e)
+
+
+def test_sturm_count_exact_zero_pivot():
+    # integer tridiagonals probed at integers hit pivots that are exactly 0
+    hits = 0
+    for _ in range(200):
+        n = int(RNG.integers(2, 9))
+        diag = RNG.integers(-2, 3, size=n).astype(float)
+        off = RNG.choice([-1.0, 1.0, 2.0], size=n - 1)
+        E = eigh_tridiagonal(diag, off, eigvals_only=True)
+        for e in (-1.0, 0.0, 1.0):
+            if np.min(np.abs(E - e)) < 1e-9:
+                continue
+            hits += diag[0] == e
+            assert _count_below(diag, off, e) == _eigh_count(diag, off, e)
+    assert hits > 0
+
+
+def test_edge_conductance_matches_branch_tracking():
+    xi = np.linspace(-8.0, 3.0, 60)
+    for g in (0.5, 2.0):
+        for gap in ((0, 0), (1, 1)):
+            w = gap_window(1.0, *gap)
+            disp = dispersion_curves(g, 1.0, xi, gap[1] + 2)
+            oracle = _branch_conductance(disp, w)
+            assert oracle == 2 * gap[1] + 1
+            for e in (0.5 * (w.e3 + w.e4), 0.5 * (w.e1 + w.e2)):
+                assert edge_conductance(g, 1.0, w, e, (-8.0, 3.0)) == oracle
+
+
 def test_edge_conductance_integer_and_stability():
-    xi = np.linspace(-8.0, 3.0, 170)
-    disp = dispersion_curves(1.0, 1.0, xi, 3)
     w = gap_window(1.0, 1, 1)
-    vals = {edge_conductance(disp, w, e) for e in (1.5, 1.6, 1.7)}
+    vals = {edge_conductance(1.0, 1.0, w, e, (-8.0, 3.0)) for e in (1.5, 1.6, 1.7)}
     assert vals == {3}
     # probing from the lower gap gives the same window conductance
-    assert edge_conductance(disp, w, -1.7) == 3
+    assert edge_conductance(1.0, 1.0, w, -1.7, (-8.0, 3.0)) == 3
     with pytest.raises(ValueError):
-        edge_conductance(disp, w, 0.0)
+        edge_conductance(1.0, 1.0, w, 0.0, (-8.0, 3.0))
 
 
 def test_edge_conductance_empty_spectrum_window():
-    disp = dispersion_curves(1.0, 1.0, np.linspace(-3, 0, 40), 1)
-    # window far below every branch: both gaps see zero flow
+    # window far below every branch that moves over this momentum range:
+    # both gaps see zero flow
     w = GapWindow(-30.0, -29.0, -21.0, -20.0)
-    assert edge_conductance(disp, w, -29.5) == 0
+    assert edge_conductance(1.0, 1.0, w, -29.5, (-3.0, 0.0)) == 0
 
 
 def test_bulk_ids_level_counting():
@@ -194,6 +269,43 @@ def test_edge_density_converges_to_bulk_ids():
     c_hat = max(L * e for L, e in zip((4.0, 8.0, 16.0), errs))
     for L, e in zip((4.0, 8.0, 16.0), errs):
         assert e <= c_hat / L * (1 + 1e-9)
+
+
+def _edge_density_rho_inline_loop(g, b, F, L):
+    """Reference: edge_density_rho with its own copy of the xi-tail loop."""
+    dxi, span = 0.1 * np.sqrt(b), 6.0 / np.sqrt(b)
+    T_dom = L + 2 * span
+
+    def integrand(xi):
+        fib = discretize_fiber(g, xi, b, T_dom=max(T_dom, -xi / b + span))
+        E, psi = fib.eigensystem(emin=-F.support_max, emax=F.support_max)
+        if E.size == 0:
+            return 0.0
+        n_in = int(round(L / fib.h)) + 1
+        dens = np.einsum("tse,e->t", np.abs(psi[:n_in]) ** 2, np.asarray(F(E))) / fib.h
+        w = np.full(n_in, fib.h)
+        w[0] = w[-1] = fib.h / 2.0
+        return float(w @ dens)
+
+    lo, hi = -b * (L + span), b * span
+    xs = np.arange(lo, hi + dxi / 2, dxi)
+    total = np.sum([integrand(x) for x in xs]) * dxi
+    for _ in range(6):
+        new_lo = np.arange(lo - b * span, lo, dxi)
+        new_hi = np.arange(hi + dxi, hi + b * span + dxi / 2, dxi)
+        tail = (np.sum([integrand(x) for x in new_lo])
+                + np.sum([integrand(x) for x in new_hi])) * dxi
+        total += tail
+        lo, hi = lo - b * span, hi + b * span + dxi
+        if abs(tail) < 1e-4 * max(abs(total), 1.0):
+            return total / (2.0 * np.pi * L)
+    raise RuntimeError("xi-integration tail did not converge")
+
+
+def test_edge_density_shared_tail_loop_is_bit_identical():
+    w = gap_window(1.0, 0, 0)
+    F = _window_function(w)
+    assert edge_density_rho(1.0, 1.0, F, 4.0) == _edge_density_rho_inline_loop(1.0, 1.0, F, 4.0)
 
 
 def test_combes_thomas_bound():

@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from dirac_edge.core import QuadratureError
+from dirac_edge.core import QuadratureError, gauss_legendre_panels
 from dirac_edge.fiber import discretize_fiber
 from dirac_edge.hs_calculus import (
     HsQuadrature,
     SchwartzFunction,
+    _hs_sum,
     almost_analytic_eval,
     dbar_eval,
     edge_bulk_diagonal_gap,
@@ -67,6 +71,7 @@ def test_hs_diagonal_self_calibration():
     out = hs_apply_matrix(F, 4, H)
     exact = np.diag(F(np.array([1.0, 2.0])))
     assert np.max(np.abs(out - exact)) < 1e-6
+    assert abs(hs_apply_matrix(F, 4, np.array([[0.7]]))[0, 0] - F(0.7)) < 1e-6
 
 
 def test_hs_zero_function():
@@ -105,6 +110,101 @@ def test_hs_input_errors():
     strict = HsQuadrature(u_panels=4, v_nodes=4, tol=1e-13, max_refinements=1)
     with pytest.raises(QuadratureError):
         hs_apply_matrix(F, 4, _random_hermitian(8), quad=strict)
+
+
+def _hs_sum_per_node(F, N, H, quad, B):
+    """Reference: the contour sum with one LAPACK banded solve per node."""
+    a, bmax = F.support
+    un, uw = gauss_legendre_panels(np.linspace(a - 2.0, bmax + 2.0, quad.u_panels + 1),
+                                   quad.u_nodes)
+    n_dec = int(np.ceil(np.log2(0.5 / quad.v_min)))
+    ve_pos = np.concatenate(
+        [np.geomspace(quad.v_min, 0.5, n_dec + 1), np.linspace(0.5, 1.0, 5)[1:]]
+    )
+    pieces = [gauss_legendre_panels(-ve_pos[::-1], quad.v_nodes),
+              gauss_legendre_panels(ve_pos, quad.v_nodes)]
+    vn = np.concatenate([p[0] for p in pieces])
+    vw = np.concatenate([p[1] for p in pieces])
+    U, V = np.meshgrid(un, vn, indexing="ij")
+    flatD = (dbar_eval(F, N, U, V) * np.outer(uw, vw)).ravel()
+    flatZ = (U + 1j * V).ravel()
+    keep = np.abs(flatD) > 1e-14 * np.max(np.abs(flatD))
+    T, Q = scipy.linalg.hessenberg(H, calc_q=True)
+    ab = np.zeros((3, H.shape[0]), dtype=complex)
+    ab[0, 1:] = np.diag(T, 1)
+    ab[2, :-1] = np.diag(T, -1)
+    # complex right-hand side: solve_banded cannot divide a real one in place
+    # by a complex 1 x 1 matrix
+    QB = (Q.conj().T @ B).astype(complex)
+    acc = np.zeros(QB.shape, dtype=complex)
+    for d, z in zip(flatD[keep], flatZ[keep]):
+        ab[1] = np.diag(T) - z
+        acc += d * scipy.linalg.solve_banded((1, 1), ab, QB)
+    return (Q @ acc) / np.pi
+
+
+def test_batched_hs_sum_matches_per_node_solves():
+    F = SchwartzFunction.gaussian(1.0, 0.5)
+    E = np.array([-1.0, 0.3, 0.3 + 1e-6, 0.9, 1.2, 1.5, 2.0, 3.0])
+    Q, _ = np.linalg.qr(RNG.normal(size=(8, 8)) + 1j * RNG.normal(size=(8, 8)))
+    fib = discretize_fiber(1.0, 0.0, 1.0, T_dom=6.0)
+    col = RNG.normal(size=(fib.dim, 2))
+    cases = [((Q * E) @ Q.conj().T, np.eye(8), 2),
+             (np.array([[0.7]]), np.eye(1), 2),
+             (fib.dense(), col, 1)]
+    for H, B, levels in cases:
+        H = (H + H.conj().T) / 2.0
+        T, Qh = scipy.linalg.hessenberg(H, calc_q=True)
+        tri = (np.diag(T).copy(), np.diag(T, -1), np.diag(T, 1))
+        quad = HsQuadrature()
+        for _ in range(levels):
+            ref = _hs_sum_per_node(F, 4, H, quad, B)
+            out = Qh @ _hs_sum(F, 4, tri, Qh.conj().T @ B, quad)
+            assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+            quad = replace(quad, u_panels=2 * quad.u_panels, v_nodes=quad.v_nodes + 2)
+    # the fiber route passes the tridiagonal as it is, with no hessenberg
+    out = _hs_sum(F, 4, (fib.diag, fib.off, fib.off), col, HsQuadrature())
+    assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+def _edge_bulk_gap_inline_loop(F, g, b, x2_grid):
+    """Reference: edge_bulk_diagonal_gap with its own copy of the xi-tail loop."""
+    dxi, span = 0.1 * np.sqrt(b), 6.0 / np.sqrt(b)
+    xmax = float(np.max(x2_grid))
+
+    def density(fib):
+        E, psi = fib.eigensystem(emin=-F.support_max, emax=F.support_max)
+        if E.size == 0:
+            return np.zeros(x2_grid.size)
+        dens = np.einsum("tse,e->t", np.abs(psi) ** 2, np.asarray(F(E))) / fib.h
+        return np.interp(x2_grid, fib.grid, dens)
+
+    def integrand(xi):
+        fib_e = discretize_fiber(g, xi, b, T_dom=max(xmax + 2 * span, -xi / b + span))
+        T_bulk = 2 * (abs(xi / b) + xmax + span)
+        fib_b = discretize_fiber(None, xi, b, T_dom=T_bulk, whole_line=True)
+        return density(fib_e) - density(fib_b)
+
+    lo, hi = -b * (xmax + span), b * span
+    xs = np.arange(lo, hi + dxi / 2, dxi)
+    total = np.sum([integrand(x) for x in xs], axis=0) * dxi
+    for _ in range(6):
+        new_lo = np.arange(lo - b * span, lo, dxi)
+        new_hi = np.arange(hi + dxi, hi + b * span + dxi / 2, dxi)
+        tail = (np.sum([integrand(x) for x in new_lo], axis=0)
+                + np.sum([integrand(x) for x in new_hi], axis=0)) * dxi
+        total += tail
+        lo, hi = lo - b * span, hi + b * span + dxi
+        if np.max(np.abs(tail)) < 1e-4 * max(np.max(np.abs(total)), 1e-6):
+            return total / (2.0 * np.pi)
+    raise RuntimeError("xi-integration tail did not converge")
+
+
+def test_edge_bulk_gap_shared_tail_loop_is_bit_identical():
+    F = SchwartzFunction.plateau(-1.2, -0.2, 0.2, 1.2)
+    x2 = np.array([0.5, 2.0])
+    assert np.array_equal(edge_bulk_diagonal_gap(F, 1.0, 1.0, x2),
+                          _edge_bulk_gap_inline_loop(F, 1.0, 1.0, x2))
 
 
 def test_fiber_kernel_routes_agree():
