@@ -23,13 +23,37 @@ class DiagonalKernelError(ValueError):
 class QuadratureError(RuntimeError):
     """Raised when a quadrature refinement fails to converge.
 
-    Carries the last two estimates so callers can inspect the discrepancy.
+    Carries the last two estimates so callers can inspect the discrepancy
+    (previous is None when only one estimate was made).
     """
 
     def __init__(self, message, last=None, previous=None):
         super().__init__(message)
         self.last = last
         self.previous = previous
+
+
+def _converge(estimates, tol, floor, what):
+    """The one stop rule of the adaptive quadratures.
+
+    Reads successive estimates (refinements, or running totals of a tail
+    sum) and stops at the first that agrees with the one before it:
+    sup|cur - prev| < tol * max(floor, sup|cur|), with the sup taken over the
+    trailing two axes (over all axes for fewer than two), so a batch of 2x2
+    kernels passes only when every point does.  Returns (cur, change);
+    raises QuadratureError with the last two estimates when the sequence
+    ends first (previous is None when it held only one).
+    """
+    last = previous = None
+    for est in estimates:
+        previous, last = last, est
+        if previous is not None:
+            axes = (-2, -1) if np.ndim(last) >= 2 else None
+            change = np.max(np.abs(last - previous), axis=axes)
+            if np.all(change < tol * np.maximum(floor, np.max(np.abs(last), axis=axes))):
+                return last, change
+    detail = "" if previous is None else f" (last change {np.max(np.abs(last - previous)):.2e})"
+    raise QuadratureError(f"{what} not converged{detail}", last=last, previous=previous)
 
 
 def sup_norm(a):

@@ -9,7 +9,7 @@ mirrored point is not too small; serves as an oracle for the contour route).
 One evaluator, `edge_F_batch`, computes the contour route and one assembly,
 `halfplane_kernel_batch`, adds the bulk part and checks the inputs.  Without
 a `ContourConfig` they make a single pass on a fixed node rule; with one they
-double the panel count until successive results agree.  The scalar names
+double the panel count until core._converge accepts.  The scalar names
 `edge_F` and `halfplane_kernel` are batches of one that always refine.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 from .core import (
     SIGMA_1,
     BoundaryParam,
-    QuadratureError,
+    _converge,
     as_halfplane_array,
     gauss_legendre_panels,
     sup_norm,
@@ -158,8 +158,9 @@ def edge_F_batch(S, T, gamma, cfg=None):
     All points share one node rule.  Without cfg this is a single pass at
     epsilon = 0.3, within about 1e-13 relative of the refined value for
     |S| <= 20, 1e-3 <= T <= 10, gamma in [e^-2.5, e^2.5].  With cfg the
-    panel count doubles until successive estimates agree to cfg.tol at every
-    point; raises QuadratureError (with both iterates) otherwise.
+    panel count doubles, up to cfg.max_refinements times, until core._converge
+    accepts at every point with tolerance cfg.tol relative to |F| (floor: the
+    smallest normal float); raises its QuadratureError otherwise.
     """
     if not isinstance(gamma, BoundaryParam):
         gamma = BoundaryParam(gamma)
@@ -173,17 +174,10 @@ def edge_F_batch(S, T, gamma, cfg=None):
     def estimate(refinement):
         return _contour_sum(gamma.gamma, r, theta, eps, refinement).reshape(S.shape + (2, 2))
 
-    est = estimate(0)
     if cfg is None:
-        return est
-    prev = None
-    for refinement in range(1, cfg.max_refinements + 1):
-        prev, est = est, estimate(refinement)
-        if np.all(sup_norm(est - prev) < cfg.tol * np.maximum(1.0, sup_norm(est))):
-            return est
-    raise QuadratureError(
-        "contour quadrature did not converge", last=est, previous=prev
-    )
+        return estimate(0)
+    refinements = map(estimate, range(cfg.max_refinements + 1))
+    return _converge(refinements, cfg.tol, np.finfo(float).tiny, "contour quadrature")[0]
 
 
 def edge_F_direct(geom, gamma, tol=1e-10):
@@ -191,6 +185,8 @@ def edge_F_direct(geom, gamma, tol=1e-10):
 
     Only valid for T >= 0.1: the integrand decays like exp(-<xi>*T), so for
     small T the truncation needed is impractically large; use edge_F there.
+    The panel count doubles up to seven times until core._converge accepts
+    (tolerance tol, floor 1).
     """
     if not isinstance(gamma, BoundaryParam):
         gamma = BoundaryParam(gamma)
@@ -213,15 +209,8 @@ def edge_F_direct(geom, gamma, tol=1e-10):
 
     # resolve both the oscillation (period 2pi/|S|) and the decay scale
     n0 = max(16, int(np.ceil(2 * xi_max * max(abs(S), 1.0) / 3.0)))
-    prev = None
-    est = None
-    for _ in range(8):
-        est = estimate(n0)
-        if prev is not None and sup_norm(est - prev) < tol * max(1.0, sup_norm(est)):
-            return est
-        prev = est
-        n0 *= 2
-    raise QuadratureError("direct quadrature did not converge", last=est, previous=prev)
+    refinements = (estimate(n0 << k) for k in range(8))
+    return _converge(refinements, tol, 1.0, "direct quadrature")[0]
 
 
 def halfplane_kernel(gamma, lam, x, xprime, cfg=None):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core import BoundaryParam
+from .core import BoundaryParam, _converge
 
 __all__ = [
     "FiberDiscretization",
@@ -389,7 +389,8 @@ def edge_density_rho(gamma, b, F, L, h=None, dxi=None, tail_tol=1e-4):
     F is a vectorized callable on energies; the fiber functional calculus is
     by eigendecomposition.  If F exposes a support_max attribute, only
     eigenpairs with |E| <= support_max are computed.  The xi-range grows
-    until the added tail falls below tail_tol, else an error is raised.
+    as in _momentum_integral (tolerance tail_tol, floor 1), else
+    QuadratureError is raised.
     """
     L = float(L)
     span = 6.0 / np.sqrt(b)
@@ -419,26 +420,26 @@ def edge_density_rho(gamma, b, F, L, h=None, dxi=None, tail_tol=1e-4):
 def _momentum_integral(integrand, b, depth, dxi, tail_tol, floor, max_extensions):
     """Riemann sum, spacing dxi (default 0.1 sqrt(b)), of integrand over xi
     in [-b (depth + span), b span] with span = 6/sqrt(b), grown by b span at
-    both ends until the added tail is below tail_tol * max(|total|, floor)
-    (sup norms for arrays).  Returns (total, last tail); raises
-    RuntimeError if max_extensions growths do not converge."""
+    both ends, up to max_extensions times, until core._converge accepts the
+    running total (tolerance tail_tol, the given floor).  Returns (total, sup
+    of its last tail); raises QuadratureError otherwise."""
     if dxi is None:
         dxi = 0.1 * np.sqrt(b)
     span = 6.0 / np.sqrt(b)
-    lo, hi, step = -b * (depth + span), b * span, b * span
-    xs = np.arange(lo, hi + dxi / 2, dxi)
-    total = np.sum([integrand(x) for x in xs], axis=0) * dxi
-    for _ in range(max_extensions):
-        new_lo = np.arange(lo - step, lo, dxi)
-        new_hi = np.arange(hi + dxi, hi + step + dxi / 2, dxi)
-        tail = (np.sum([integrand(x) for x in new_lo], axis=0)
-                + np.sum([integrand(x) for x in new_hi], axis=0)) * dxi
-        total += tail
-        lo, hi = lo - step, hi + step + dxi
-        if np.max(np.abs(tail)) < tail_tol * max(np.max(np.abs(total)), floor):
-            return total, tail
-    raise RuntimeError(f"xi-integration tail did not converge "
-                       f"(last tail {np.max(np.abs(tail)):.2e})")
+
+    def totals(lo, hi, step):
+        total = np.sum([integrand(x) for x in np.arange(lo, hi + dxi / 2, dxi)], axis=0) * dxi
+        yield total
+        for _ in range(max_extensions):
+            new_lo = np.arange(lo - step, lo, dxi)
+            new_hi = np.arange(hi + dxi, hi + step + dxi / 2, dxi)
+            total = total + (np.sum([integrand(x) for x in new_lo], axis=0)
+                             + np.sum([integrand(x) for x in new_hi], axis=0)) * dxi
+            yield total
+            lo, hi = lo - step, hi + step + dxi
+
+    return _converge(totals(-b * (depth + span), b * span, b * span), tail_tol, floor,
+                     "xi-integration tail")
 
 
 def combes_thomas_check(H, z, C1, x0):

@@ -15,7 +15,7 @@ import scipy.linalg
 from numpy.polynomial import Polynomial
 from numpy.polynomial.hermite_e import HermiteE
 
-from .core import QuadratureError, gauss_legendre_panels
+from .core import _converge, gauss_legendre_panels
 from .fiber import _momentum_integral, discretize_fiber
 
 __all__ = [
@@ -230,21 +230,19 @@ def _hs_sum(F, N, tri, B, quad, Q=None):
     return (acc if Q is None else Q @ acc) / np.pi
 
 
-def _hs_converged(F, N, tri, B, quad, Q=None):
-    prev = _hs_sum(F, N, tri, B, quad, Q)
+def _hs_refinements(F, N, tri, B, quad, Q=None):
+    """_hs_sum on quad, then on max_refinements refinements of it (u panels
+    doubled, two more v nodes per panel each time)."""
+    yield _hs_sum(F, N, tri, B, quad, Q)
     for _ in range(quad.max_refinements):
-        quad = replace(quad, u_panels=2 * quad.u_panels,
-                       v_nodes=quad.v_nodes + 2)
-        cur = _hs_sum(F, N, tri, B, quad, Q)
-        if np.max(np.abs(cur - prev)) < quad.tol * max(1.0, np.max(np.abs(cur))):
-            return cur
-        prev = cur
-    raise QuadratureError("Helffer-Sjostrand quadrature did not converge")
+        quad = replace(quad, u_panels=2 * quad.u_panels, v_nodes=quad.v_nodes + 2)
+        yield _hs_sum(F, N, tri, B, quad, Q)
 
 
 def hs_apply_matrix(F, N, H, quad=None):
-    """F(H) for Hermitian H via the contour integral; refines the quadrature
-    until successive values agree to quad.tol, else raises."""
+    """F(H) for Hermitian H via the contour integral, refined until
+    core._converge accepts (tolerance quad.tol, floor 1), else raises its
+    QuadratureError."""
     H = np.asarray(H)
     if np.max(np.abs(H - H.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(H))):
         raise ValueError("H must be Hermitian")
@@ -254,7 +252,8 @@ def hs_apply_matrix(F, N, H, quad=None):
     # resolvent is a tridiagonal solve, O(dim) per right-hand side
     T, Q = scipy.linalg.hessenberg(H, calc_q=True)
     tri = (np.diag(T), np.diag(T, -1), np.diag(T, 1))
-    return _hs_converged(F, N, tri, Q.conj().T, quad, Q)
+    refinements = _hs_refinements(F, N, tri, Q.conj().T, quad, Q)
+    return _converge(refinements, quad.tol, 1.0, "Helffer-Sjostrand quadrature")[0]
 
 
 def _dof_to_node_map(fib):
@@ -286,8 +285,9 @@ def fiber_F_kernel(F, gamma, b, xi, t, tprime, grid=None, method="eig", N=4,
     """F applied to the fiber operator at momentum xi, kernel at (t, t').
 
     method="eig": eigendecomposition of the discretized fiber (oracle
-    route), with a step-halving convergence check when the grid is built
-    internally.  method="hs": contour-integral route on the same matrix.
+    route); when the grid is built internally, the kernel on step h/2 is
+    returned if core._converge accepts it against step h (tolerance rich_tol,
+    floor sqrt(b)).  method="hs": contour-integral route on the same matrix.
     """
     if grid is None:
         fib = discretize_fiber(gamma, xi, b, h=h, T_dom=T_dom,
@@ -295,14 +295,8 @@ def fiber_F_kernel(F, gamma, b, xi, t, tprime, grid=None, method="eig", N=4,
         if method == "eig":
             fine = discretize_fiber(gamma, xi, b, h=fib.h / 2.0, T_dom=fib.T_dom,
                                     whole_line=gamma is None)
-            K1 = fiber_F_kernel(F, gamma, b, xi, t, tprime, grid=fib)
-            K2 = fiber_F_kernel(F, gamma, b, xi, t, tprime, grid=fine)
-            scale = max(np.max(np.abs(K2)), np.sqrt(b))
-            if np.max(np.abs(K1 - K2)) > rich_tol * scale:
-                raise RuntimeError(
-                    "fiber kernel not converged under step halving; decrease h"
-                )
-            return K2
+            halvings = (fiber_F_kernel(F, gamma, b, xi, t, tprime, grid=g) for g in (fib, fine))
+            return _converge(halvings, rich_tol, np.sqrt(b), "fiber kernel under step halving")[0]
     else:
         fib = grid
     emax = F.support_max
@@ -316,7 +310,9 @@ def fiber_F_kernel(F, gamma, b, xi, t, tprime, grid=None, method="eig", N=4,
         M_col = (V * F(E)[None, :]) @ (V.T @ col.T)
     elif method == "hs":
         # apply F(H) to the two interpolation vectors only
-        M_col = _hs_converged(F, N, (fib.diag, fib.off, fib.off), col.T, quad or HsQuadrature())
+        quad = quad or HsQuadrature()
+        refinements = _hs_refinements(F, N, (fib.diag, fib.off, fib.off), col.T, quad)
+        M_col = _converge(refinements, quad.tol, 1.0, "Helffer-Sjostrand quadrature")[0]
     else:
         raise ValueError(f"unknown method {method!r}")
     return (row @ M_col) / fib.h

@@ -17,6 +17,7 @@ from .core import (
     SIGMA_1,
     BoundaryParam,
     QuadratureError,
+    _converge,
     gauss_legendre_panels,
     sup_norm,
 )
@@ -97,8 +98,6 @@ class CompositionPlan:
     with dyadically graded radial panels (finest near the singularity).
     """
 
-    singular_centers: tuple
-    split_radius: float
     n_angular: int = 32
     radial_nodes: int = 10
     radial_panels: int = 10
@@ -118,7 +117,7 @@ class CompositionPlan:
         tail = float(np.exp(-lam * trunc + lam * d) * trunc)
         kw.setdefault("trunc_radius", trunc)
         kw.setdefault("tail_estimate", max(tail * 1e-6, 1e-12))
-        return cls((tuple(x), tuple(xprime)), d / 2.0, **kw)
+        return cls(**kw)
 
 
 @dataclass(frozen=True)
@@ -158,29 +157,13 @@ def _refine_edges(edges):
     return np.sort(np.concatenate([edges, mids]))
 
 
-def _patch_nodes(center, other, plan, base_edges, diagonal=False):
-    """Quadrature nodes/weights of the polar patch around `center`.
-
-    Radial limit per angle = min(bisector crossing, boundary crossing,
-    truncation).  Returns (points (m, 2), weights (m,)); weights include the
-    polar Jacobian, so integrands are evaluated plainly at the points.
-    """
-    pts, wts = _patch_nodes_batch(
-        np.asarray(center, dtype=float)[None, :],
-        None if diagonal else np.asarray(other, dtype=float)[None, :],
-        plan,
-        base_edges,
-    )
-    keep = wts[0] > 0
-    return pts[0][keep], wts[0][keep]
-
-
 def _patch_nodes_batch(centers, others, plan, base_edges):
     """Vectorized polar patches around a batch of centers.
 
     centers (P, 2); others (P, 2) or None for diagonal (no bisector cut).
-    Returns pts (P, m, 2) and wts (P, m); invalid nodes carry weight 0 and
-    are relocated to a harmless interior dummy point.
+    Radial limit per angle = min(bisector crossing, boundary crossing,
+    truncation).  Returns pts (P, m, 2) and wts (P, m); weights include the
+    polar Jacobian, and nodes outside the patch carry weight 0.
     """
     n_ang = plan.n_angular
     phi = 2.0 * np.pi * (np.arange(n_ang) + 0.5) / n_ang
@@ -207,41 +190,48 @@ def _patch_nodes_batch(centers, others, plan, base_edges):
     # dropping the innermost annulus costs O(min_radius) of the integrand
     bad = (t <= plan.min_radius) | (pts[..., 1] <= 0) | ~np.isfinite(t)
     wt = np.where(bad, 0.0, wt)
-    pts = np.where(bad[..., None], np.array([0.0, 1.0]), pts)
     m = n_ang * u.size
     return pts.reshape(P, m, 2), wt.reshape(P, m)
 
 
-def _composed_estimate(K1, W, K2, x, xprime, plan, base_edges):
+def _patch_sum(K, src, W, right, centers, others, plan, edges):
+    """sum_y w(y) K(src_p, y) W(y) right(y) over the polar patch of each
+    center p, shape (P, 2, 2).  The factors are evaluated at positive-weight
+    nodes only: a node outside the patch may sit on a singularity."""
+    pts, wts = _patch_nodes_batch(centers, others, plan, edges)
+    keep = wts > 0
+    y = pts[keep]
+    terms = np.zeros(wts.shape + (2, 2), dtype=complex)
+    terms[keep] = wts[keep][:, None, None] * K(src[np.nonzero(keep)[0]], y) @ W(y) @ right(y)
+    return terms.sum(axis=1)
+
+
+def _compose(K1, W, right, x, xprime, plan):
+    """(K1 W R)(x, x') for a right factor R(y) = right(y) with R's singularity
+    at x': polar patches around x and x' (one uncut patch around x on the
+    diagonal), radial panels and angular count refined together (the
+    radial-limit function has kinks, so angular error must be refined too)
+    until core._converge accepts (tolerance plan.tol, floor 1).  Returns
+    (value, last change); raises its QuadratureError."""
     diagonal = bool(np.array_equal(x, xprime))
-    pts_list, wts_list, side = [], [], []
-    p, w = _patch_nodes(x, xprime, plan, base_edges, diagonal=diagonal)
-    pts_list.append(p)
-    wts_list.append(w)
-    if not diagonal:
-        p2, w2 = _patch_nodes(xprime, x, plan, base_edges)
-        pts_list.append(p2)
-        wts_list.append(w2)
-    total = np.zeros((2, 2), dtype=complex)
-    for pts, wts in zip(pts_list, wts_list):
-        if pts.size == 0:
-            continue
-        Xrep = np.broadcast_to(np.asarray(x, dtype=float), pts.shape)
-        Xprep = np.broadcast_to(np.asarray(xprime, dtype=float), pts.shape)
-        A = K1(Xrep, pts)
-        B = K2(pts, Xprep)
-        Wv = W(pts)
-        total += np.einsum("n,nab,nbc,ncd->ad", wts, A, Wv, B)
-    return total
+    centers = x[None, :] if diagonal else np.stack([x, xprime])
+    others = None if diagonal else centers[::-1]
+    src = np.broadcast_to(x, centers.shape)
+
+    def refinements():
+        cur, edges = plan, _base_edges(plan.radial_panels)
+        for _ in range(plan.max_refinements + 1):
+            yield _patch_sum(K1, src, W, right, centers, others, cur, edges).sum(axis=0)
+            cur, edges = replace(cur, n_angular=2 * cur.n_angular), _refine_edges(edges)
+
+    return _converge(refinements(), plan.tol, 1.0, "kernel composition")
 
 
 def compose2(K1, W, K2, x, xprime, plan=None):
     """Evaluate the double-kernel composition (K1 W K2)(x, x').
 
-    Refines both the radial panels (midpoint insertion) and the angular count
-    (the radial-limit function has kinks, so angular error must be refined
-    too) until two successive estimates agree to plan.tol relative; the
-    returned error is the last refinement change plus the truncation tail.
+    Refined as in _compose; the returned error is the last refinement change
+    plus the truncation tail.
     """
     x = np.asarray(x, dtype=float)
     xprime = np.asarray(xprime, dtype=float)
@@ -251,84 +241,44 @@ def compose2(K1, W, K2, x, xprime, plan=None):
         plan = CompositionPlan.for_pair(x, xprime, lam=getattr(K1, "lam", 1.0))
     if W.sup_norm == 0.0:
         return ComposedValue(np.zeros((2, 2), dtype=complex), 0.0)
-    edges = _base_edges(plan.radial_panels)
-    cur = plan
-    prev = None
-    est = None
-    for _ in range(plan.max_refinements + 1):
-        est = _composed_estimate(K1, W, K2, x, xprime, cur, edges)
-        if prev is not None:
-            change = sup_norm(est - prev)
-            if change < plan.tol * max(1.0, sup_norm(est)):
-                return ComposedValue(est, float(change) + plan.tail_estimate)
-        prev = est
-        edges = _refine_edges(edges)
-        cur = replace(cur, n_angular=2 * cur.n_angular)
-    raise QuadratureError("kernel composition did not converge", last=est, previous=prev)
+    value, change = _compose(K1, W, lambda Y: K2(Y, np.broadcast_to(xprime, Y.shape)),
+                             x, xprime, plan)
+    return ComposedValue(value, float(change) + plan.tail_estimate)
 
 
 def _inner_plan(plan):
-    return CompositionPlan(
-        plan.singular_centers,
-        plan.split_radius,
+    return replace(
+        plan,
         n_angular=max(12, plan.n_angular // 2),
         radial_nodes=8,
         radial_panels=max(5, plan.radial_panels // 2),
-        trunc_radius=plan.trunc_radius,
         min_radius=max(plan.min_radius, 1e-3),
-        tol=plan.tol,
         max_refinements=0,
-        tail_estimate=plan.tail_estimate,
     )
 
 
 def _inner_batch(K2, W2, K3, Ys, xprime, inner, inner_edges):
     """(K2 W2 K3)(y, x') for a batch of outer nodes y, fixed inner grids."""
-    P = Ys.shape[0]
     Xp = np.broadcast_to(xprime, Ys.shape)
-    G = np.zeros((P, 2, 2), dtype=complex)
+
+    def right(Y):
+        return K3(Y, np.broadcast_to(xprime, Y.shape))
+
     # patch around each y, cut toward x', plus patch around x' cut toward y
-    for centers, others in ((Ys, Xp), (Xp, Ys)):
-        pts, wts = _patch_nodes_batch(centers, others, inner, inner_edges)
-        m = pts.shape[1]
-        flat = pts.reshape(-1, 2)
-        left = K2(np.repeat(Ys, m, axis=0), flat).reshape(P, m, 2, 2)
-        right = K3(flat, np.broadcast_to(xprime, flat.shape)).reshape(P, m, 2, 2)
-        Wv = W2(flat).reshape(P, m, 2, 2)
-        G += np.einsum("pm,pmab,pmbc,pmcd->pad", wts, left, Wv, right)
-    return G
-
-
-def _compose3_estimate(K1, W1, K2, W2, K3, x, xprime, plan, base_edges):
-    diagonal = bool(np.array_equal(x, xprime))
-    inner = _inner_plan(plan)
-    inner_edges = _base_edges(inner.radial_panels)
-    patches = [_patch_nodes(x, xprime, plan, base_edges, diagonal=diagonal)]
-    if not diagonal:
-        patches.append(_patch_nodes(xprime, x, plan, base_edges))
-    total = np.zeros((2, 2), dtype=complex)
-    for pts, wts in patches:
-        if pts.size == 0:
-            continue
-        Xrep = np.broadcast_to(np.asarray(x, dtype=float), pts.shape)
-        A = K1(Xrep, pts)
-        Wv = W1(pts)
-        for i0 in range(0, pts.shape[0], 256):
-            sl = slice(i0, min(i0 + 256, pts.shape[0]))
-            G = _inner_batch(K2, W2, K3, pts[sl], xprime, inner, inner_edges)
-            total += np.einsum("p,pab,pbc,pcd->ad", wts[sl], A[sl], Wv[sl], G)
-    return total
+    return sum(_patch_sum(K2, Ys, W2, right, centers, others, inner, inner_edges)
+               for centers, others in ((Ys, Xp), (Xp, Ys)))
 
 
 def compose3(K1, W1, K2, W2, K3, x, xprime, plan=None):
     """Triple-kernel composition (K1 W1 K2 W2 K3)(x, x').
 
     The log singularity of the inner pair integrates away, so the diagonal
-    x = x' is allowed.  Outer quadrature is refined once for an error
-    estimate; the inner composition runs on a fixed reduced grid.  If the
-    refinements run out unconverged, the finest estimate is returned with the
-    last measured change as its error (with max_refinements = 0 nothing is
-    measured and the error is the tail estimate alone).
+    x = x' is allowed.  The outer quadrature is refined as in _compose, with
+    the inner composition (K2 W2 K3)(y, x') as its right factor, run on a
+    fixed reduced grid.  If the refinements run out unconverged, the finest
+    estimate is returned with the last measured change as its error (with
+    max_refinements = 0 nothing is measured and the error is the tail
+    estimate alone).
     """
     x = np.asarray(x, dtype=float)
     xprime = np.asarray(xprime, dtype=float)
@@ -340,20 +290,19 @@ def compose3(K1, W1, K2, W2, K3, x, xprime, plan=None):
         )
     if W1.sup_norm == 0.0 or W2.sup_norm == 0.0:
         return ComposedValue(np.zeros((2, 2), dtype=complex), 0.0)
-    edges = _base_edges(plan.radial_panels)
-    cur = plan
-    prev = None
-    change = 0.0
-    for _ in range(plan.max_refinements + 1):
-        est = _compose3_estimate(K1, W1, K2, W2, K3, x, xprime, cur, edges)
-        if prev is not None:
-            change = float(sup_norm(est - prev))
-            if change < plan.tol * max(1.0, sup_norm(est)):
-                break
-        prev = est
-        edges = _refine_edges(edges)
-        cur = replace(cur, n_angular=2 * cur.n_angular)
-    return ComposedValue(est, change + plan.tail_estimate)
+    inner = _inner_plan(plan)
+    inner_edges = _base_edges(inner.radial_panels)
+
+    def right(Y):
+        return np.concatenate([_inner_batch(K2, W2, K3, Y[i:i + 256], xprime, inner, inner_edges)
+                               for i in range(0, len(Y), 256)])
+
+    try:
+        value, change = _compose(K1, W1, right, x, xprime, plan)
+    except QuadratureError as e:
+        value = e.last
+        change = 0.0 if e.previous is None else sup_norm(e.last - e.previous)
+    return ComposedValue(value, float(change) + plan.tail_estimate)
 
 
 def _dense_grid(x, xprime, lam, n):

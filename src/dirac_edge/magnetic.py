@@ -21,7 +21,7 @@ import numpy as np
 from .core import (
     PAULI,
     BoundaryParam,
-    QuadratureError,
+    _converge,
     gauss_legendre_panels,
     sup_norm,
 )
@@ -162,8 +162,10 @@ def schur_norm_Tb(b, W, gamma, lam, n_angular=24, tol=1e-3, max_extensions=8):
     """Schur-test estimate of ||T_b(i lam)||: sup over probe points of the
     larger of the row and column integrals of the entrywise operator norm.
 
-    Only W = 0 is supported (the Neumann assembly is run at W = 0; with a
-    potential the bound follows from the same kernel envelope).
+    Each integral is summed over shells of width 6/lam, up to max_extensions
+    of them, until core._converge accepts the running total (tolerance tol,
+    floor 1e-300).  Only W = 0 is supported (the Neumann assembly is run at
+    W = 0; with a potential the bound follows from the same kernel envelope).
     """
     if b == 0.0:
         return 0.0
@@ -178,17 +180,15 @@ def schur_norm_Tb(b, W, gamma, lam, n_angular=24, tol=1e-3, max_extensions=8):
     phis = (np.arange(n_angular) + 0.5) * (2 * np.pi / n_angular)
     dirs = np.stack([np.cos(phis), np.sin(phis)], axis=1)
 
-    best = 0.0
-    for x in probes:
-        total = 0.0
-        r_lo, r_hi = 0.0, 6.0 / lam
-        for ext in range(max_extensions):
+    def totals(x):
+        # ring integrals over successive shells of width 6/lam around x
+        total, r_lo, r_hi = 0.0, 0.0, 6.0 / lam
+        for _ in range(max_extensions):
             nodes, wts = gauss_legendre_panels(np.linspace(r_lo, r_hi, 7), 8)
             pts = x[None, None, :] + nodes[:, None, None] * dirs[None, :, :]
             ok = pts[..., 1] > 1e-9 / lam
             flat = pts.reshape(-1, 2)
             okf = ok.reshape(-1)
-            vals = np.zeros((flat.shape[0], 2, 2), dtype=complex)
             # row integral |T_b(x, y)| and column integral |T_b(y, x)| share
             # the same envelope; evaluate both and keep the larger
             Xrep = np.broadcast_to(x, flat[okf].shape)
@@ -200,17 +200,11 @@ def schur_norm_Tb(b, W, gamma, lam, n_angular=24, tol=1e-3, max_extensions=8):
             env[okf] = np.maximum(norm_row, norm_col)
             env = env.reshape(nodes.size, n_angular)
             r = nodes[:, None]
-            ring = np.sum(wts[:, None] * (b * r / 2.0) * env * r) * (2 * np.pi / n_angular)
-            total += ring
-            if ext > 0 and ring < tol * max(total, 1e-300):
-                break
+            total += np.sum(wts[:, None] * (b * r / 2.0) * env * r) * (2 * np.pi / n_angular)
+            yield total
             r_lo, r_hi = r_hi, r_hi + 6.0 / lam
-        else:
-            raise QuadratureError(
-                f"Schur integral tail not converged after {max_extensions} extensions"
-            )
-        best = max(best, total)
-    return best
+
+    return max(_converge(totals(x), tol, 1e-300, "Schur integral tail")[0] for x in probes)
 
 
 def select_lambda0(b, W, gamma, lams):

@@ -1,0 +1,65 @@
+import numpy as np
+import pytest
+
+from dirac_edge.core import QuadratureError
+from dirac_edge.edge_kernel import EdgeGeometry, edge_F_direct
+from dirac_edge.hs_calculus import (
+    HsQuadrature,
+    SchwartzFunction,
+    edge_bulk_diagonal_gap,
+    fiber_F_kernel,
+    hs_apply_matrix,
+)
+from dirac_edge.kernel_ops import CompositionPlan, PotentialField, compose2, resolvent_kernel
+from dirac_edge.magnetic import schur_norm_Tb
+
+
+def _compose2_strict():
+    x, xp = np.array([0.3, 0.8]), np.array([1.0, 0.4])
+    plan = CompositionPlan.for_pair(x, xp, lam=2.0, n_angular=4, radial_panels=2,
+                                    radial_nodes=3, tol=1e-30, max_refinements=1)
+    K = resolvent_kernel(1.0, 2.0)
+    return compose2(K, PotentialField.constant(w3=0.2), K, x, xp, plan=plan)
+
+
+def _hs_strict():
+    H = np.diag([-1.0, 0.5, 2.0]) + 0.1 * (np.eye(3, k=1) + np.eye(3, k=-1))
+    quad = HsQuadrature(u_panels=4, v_nodes=4, tol=1e-30, max_refinements=1)
+    return hs_apply_matrix(SchwartzFunction.gaussian(1.0, 0.5), 4, H, quad=quad)
+
+
+def _gap(max_extensions):
+    F = SchwartzFunction.plateau(-1.2, -0.2, 0.2, 1.2)
+    return edge_bulk_diagonal_gap(F, 1.0, 1.0, [0.5], dxi=0.5, tail_tol=0.0,
+                                  max_extensions=max_extensions)
+
+
+# each adaptive routine, forced to run out of refinements or tail extensions
+# (a tolerance of 0 is never met); the flag says whether it made at least two
+# estimates
+FAILING = {
+    "edge_F_direct": (lambda: edge_F_direct(EdgeGeometry(1.0, 1.0), 1.0, tol=1e-30), True),
+    "compose2": (_compose2_strict, True),
+    "hs_apply_matrix": (_hs_strict, True),
+    "fiber_F_kernel": (lambda: fiber_F_kernel(
+        SchwartzFunction.gaussian(0.0, 0.35), 1.0, 1.0, 0.0, 0.5, 1.0, h=1.0 / 64,
+        T_dom=6.0, rich_tol=1e-12), True),
+    "schur_norm_Tb": (lambda: schur_norm_Tb(0.5, None, 1.0, 8.0, tol=1e-30, max_extensions=2),
+                      True),
+    "edge_bulk_diagonal_gap_ext1": (lambda: _gap(1), True),
+    "edge_bulk_diagonal_gap_ext0": (lambda: _gap(0), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_non_convergence_raises_quadrature_error_with_iterates(name):
+    run, two_estimates = FAILING[name]
+    with pytest.raises(QuadratureError, match="not converged") as exc:
+        run()
+    assert exc.value.last is not None
+    if two_estimates:
+        assert exc.value.previous is not None
+        assert exc.value.previous is not exc.value.last
+    else:
+        # one estimate (no tail was added): there is no previous iterate
+        assert exc.value.previous is None

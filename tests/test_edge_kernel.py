@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import k0, k1
 
+from dirac_edge import edge_kernel
 from dirac_edge.closed_form import bulk_plane_kernel
 from dirac_edge.core import BoundaryParam, DiagonalKernelError, QuadratureError, sup_norm
 from dirac_edge.edge_kernel import (
@@ -98,6 +99,21 @@ def test_quadrature_error_carries_iterates():
         edge_F(EdgeGeometry(S=1.0, T=1.0), BoundaryParam(1.0), cfg)
     assert exc.value.last is not None
     assert exc.value.previous is not None
+
+
+def test_refined_stop_test_is_relative(monkeypatch):
+    # two estimates of a small F (|F| = 1e-8) that are 1e-6 apart relative
+    # must not pass a tolerance of 1e-10, and do pass one of 1e-5
+    est = 1e-8 * np.eye(2, dtype=complex)[None]
+    for tol, passes in ((1e-10, False), (1e-5, True)):
+        estimates = iter([est, est * (1.0 + 1e-6)])
+        monkeypatch.setattr(edge_kernel, "_contour_sum", lambda *args: next(estimates))
+        cfg = ContourConfig(tol=tol, max_refinements=1)
+        if passes:
+            assert np.array_equal(edge_F_batch(1.0, 1.0, 1.0, cfg), est[0] * (1.0 + 1e-6))
+        else:
+            with pytest.raises(QuadratureError):
+                edge_F_batch(1.0, 1.0, 1.0, cfg)
 
 
 def test_halfplane_kernel_boundary_condition_exact():

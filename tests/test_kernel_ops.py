@@ -300,7 +300,7 @@ def test_compose3_unconverged_error_is_last_change(monkeypatch):
     A = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
     B = A + np.array([[0.0, 3e-4], [0.0, 0.0]])
     estimates = iter([A, B])
-    monkeypatch.setattr(kernel_ops, "_compose3_estimate", lambda *args: next(estimates))
+    monkeypatch.setattr(kernel_ops, "_patch_sum", lambda *args: next(estimates)[None])
     x, xp = np.array([0.3, 0.8]), np.array([1.0, 0.4])
     plan = CompositionPlan.for_pair(x, xp, lam=2.0, n_angular=4, radial_panels=2,
                                     radial_nodes=3, tol=1e-12, max_refinements=1)
@@ -308,6 +308,21 @@ def test_compose3_unconverged_error_is_last_change(monkeypatch):
     out = compose3(None, W, None, W, None, x, xp, plan=plan)
     assert np.array_equal(out.value, B)
     assert out.error >= np.max(np.abs(A - B))
+
+
+def test_compose3_right_point_on_a_node_outside_the_patches():
+    # on the benchmark's 4x2x4 plan some inner nodes fall outside their patch
+    # (weight 0); kernels must not be evaluated there, wherever x' lies, so
+    # x' = (0, 1) gives the limit of nearby points
+    K = resolvent_kernel(1.0, 2.0)
+    W = PotentialField.constant(w3=0.2)
+    x = np.array([0.3, 0.8])
+    vals = []
+    for xp in (np.array([0.0, 1.0]), np.array([0.0, 1.0 + 1e-12])):
+        plan = CompositionPlan.for_pair(x, xp, lam=2.0, n_angular=4, radial_panels=2,
+                                        radial_nodes=4, max_refinements=0)
+        vals.append(compose3(K, W, K, W, K, x, xp, plan=plan).value)
+    assert np.max(np.abs(vals[0] - vals[1])) < 1e-9 * np.max(np.abs(vals[1]))
 
 
 def test_compose3_diagonal_matches_fiber_oracle():
