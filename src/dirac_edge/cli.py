@@ -38,7 +38,7 @@ from .fiber import (
 )
 from .hs_calculus import SchwartzFunction, edge_bulk_diagonal_gap, fiber_F_kernel, hs_apply_matrix
 from .kernel_ops import PotentialField, born_series
-from .magnetic import magnetic_resolvent, schur_norm_Tb, select_lambda0
+from .magnetic import _schur_estimates, magnetic_resolvent, select_lambda0
 
 
 class ConfigError(Exception):
@@ -202,7 +202,8 @@ def _exp_schur_sweep(cfg):
     g = cfg["gamma"]
     bs = _get(cfg, "b_values", [0.25, 0.5, 1.0])
     lams = _get(cfg, "lam_values", [2.0, 4.0, 8.0])
-    rows = [[b, lam, schur_norm_Tb(b, None, g, lam)] for b in bs for lam in lams]
+    pairs = [(b, lam) for b in bs for lam in lams]
+    rows = [[b, lam, s] for (b, lam), s in zip(pairs, _schur_estimates(pairs, None, g))]
     return ["b", "lam", "schur_norm"], rows, {}
 
 

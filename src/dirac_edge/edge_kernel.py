@@ -11,6 +11,15 @@ One evaluator, `edge_F_batch`, computes the contour route and one assembly,
 a `ContourConfig` they make a single pass on a fixed node rule; with one they
 double the panel count until core._converge accepts.  The scalar names
 `edge_F` and `halfplane_kernel` are batches of one that always refine.
+
+The kernel satisfies the reflection-transpose identity
+
+    K(y, x) = K(P1 x, P1 y)^T,    P1: (x1, x2) -> (-x1, x2),
+
+because P1 composed with complex conjugation commutes with D = -i sigma.grad
+and keeps the real boundary condition psi_2 = gamma psi_1, so that
+K(y, x)^T = K_{-i lam}(x, y)^* = K_{i lam}(P1 x, P1 y).  The grid operator
+and the Schur estimate use it to evaluate one kernel per mirror pair.
 """
 
 from dataclasses import dataclass
@@ -231,6 +240,9 @@ def halfplane_kernel_batch(gamma, lam, X, Xp, cfg=None):
     (single pass without cfg, refined with one).  Closure points x2 = 0 are
     allowed (needed to inspect the boundary trace), but not both points of a
     pair (ValueError), and not x = x' (DiagonalKernelError).
+
+    Swapping the arguments transposes the kernel up to the reflection
+    P1: x1 -> -x1 (see the module docstring): K(Y, X) = K(P1 X, P1 Y)^T.
     """
     if not isinstance(gamma, BoundaryParam):
         gamma = BoundaryParam(gamma)

@@ -341,36 +341,49 @@ def _triple_pairs(n1, n2):
     return np.broadcast_arrays(np.maximum(m, 0) * n2 + j[:, None], np.maximum(-m, 0) * n2 + j)
 
 
-def _gather_triples(table, n1):
+def _gather_triples(table):
     """(2N, 2N) block matrix, entry (2p + a, 2q + c), from the 2x2 blocks
     table[m + n1 - 1, j, l] of each triple m = i - k; table as _triple_pairs."""
-    n2 = table.shape[1]
+    n1, n2 = (table.shape[0] + 1) // 2, table.shape[1]
     i = np.arange(n1)
     blocks = table[i[:, None] - i[None, :] + n1 - 1]            # (i, k, j, l, a, c)
     return blocks.transpose(0, 2, 4, 1, 3, 5).reshape(2 * n1 * n2, 2 * n1 * n2)
 
 
-def _dense_kernel_matrix(gamma, lam, Y, h):
-    """Kernel matrix K(y_p, y_q) on a lattice (see _lattice) as a (2N, 2N)
-    block matrix, with singular-cell correction on the diagonal.
+def _kernel_triples(gamma, lam, Y, h):
+    """Kernel blocks K(y_p, y_q) on a lattice (see _lattice), one per distinct
+    triple (i - k, j, l) in the (2*n1 - 1, n2, n2, 2, 2) layout of
+    _triple_pairs, with singular-cell correction on the i = k, j = l triples.
 
-    K depends only on (x1 - y1, x2, y2), so it is evaluated once per
-    distinct triple (i - k, j, l) and gathered.  The diagonal cell integral
-    is dominated by the bulk part, whose cell average is computed in closed
-    form over the equal-area disc (radius h/sqrt(pi)); the smooth reflected
-    part is added at face value.
+    K depends only on (x1 - y1, x2, y2), and the reflection identity
+    K(y, x) = K(P1 x, P1 y)^T (P1: x1 -> -x1) gives
+    table[m, j, l] = table[m, l, j]^T, so the kernel is evaluated once per
+    mirror pair: on the triples with j <= l off the singular cells, and the
+    triples with j > l are filled by transposition.  The
+    diagonal cell integral is dominated by the bulk part, whose cell average
+    is computed in closed form over the equal-area disc (radius h/sqrt(pi));
+    the smooth reflected part is added at face value.
     """
     Y = np.asarray(Y, dtype=float)
     n1, n2 = _lattice(Y, h)
     p, q = _triple_pairs(n1, n2)
     diag = p == q
+    upper = ~diag & (np.arange(n2)[:, None] <= np.arange(n2))
     table = np.empty(p.shape + (2, 2), dtype=complex)
-    table[~diag] = halfplane_kernel_batch(gamma, lam, Y[p[~diag]], Y[q[~diag]])
+    table[upper] = halfplane_kernel_batch(gamma, lam, Y[p[upper]], Y[q[upper]])
     rho = h / np.sqrt(np.pi)
     diag_w = (1j / lam) * (1.0 - lam * rho * k1(lam * rho))
     edge = lam * edge_F_batch(np.zeros(n2), 2.0 * lam * Y[:n2, 1], gamma) @ SIGMA_1 / (4.0 * np.pi)
     table[diag] = edge + (diag_w / h**2) * np.eye(2)
-    return _gather_triples(table, n1)
+    j, l = np.tril_indices(n2, -1)
+    table[:, j, l] = np.swapaxes(table[:, l, j], -1, -2)
+    return table
+
+
+def _dense_kernel_matrix(gamma, lam, Y, h):
+    """Kernel matrix K(y_p, y_q) on a lattice (see _lattice) as a (2N, 2N)
+    block matrix: the blocks of _kernel_triples, gathered."""
+    return _gather_triples(_kernel_triples(gamma, lam, Y, h))
 
 
 def _series_terms(rows, M, col, k_max):

@@ -8,10 +8,10 @@ zero-field kernel K by phase dressing,
 
 with phi(x,x') = (x1'-x1)(x2+x2')/2 and a_t(x) = (-x2, x1)/2, and the
 Neumann series (D_b - i lambda)^{-1} = sum_k S_b T_b^k, valid once the
-Schur estimate of ||T_b|| ~ C b / lambda^2 drops below one.  Discrete
-half-plane Dirac stencils with link (Peierls) phases realize the local
-gauge-transform identity and magnetic-translation covariance exactly at
-the matrix level.
+Schur estimate of ||T_b||, exactly C(gamma) b / lambda^2 because the kernel
+scales with lambda, drops below one.  Discrete half-plane Dirac stencils
+with link (Peierls) phases realize the local gauge-transform identity and
+magnetic-translation covariance exactly at the matrix level.
 """
 
 from dataclasses import dataclass
@@ -23,13 +23,12 @@ from .core import (
     BoundaryParam,
     _converge,
     gauss_legendre_panels,
-    sup_norm,
 )
 from .edge_kernel import halfplane_kernel, halfplane_kernel_batch
 from .kernel_ops import (
     PotentialField,
-    _dense_kernel_matrix,
     _gather_triples,
+    _kernel_triples,
     _series_terms,
     _triple_pairs,
     born_series,
@@ -158,59 +157,87 @@ def T_b_kernel(b, W, gamma, lam, x, xprime, order=2):
     return _dress(b, _zero_field_kernel(gamma, W, lam, x, xp, order), x, xp, "T")
 
 
-def schur_norm_Tb(b, W, gamma, lam, n_angular=24, tol=1e-3, max_extensions=8):
-    """Schur-test estimate of ||T_b(i lam)||: sup over probe points of the
-    larger of the row and column integrals of the entrywise operator norm.
+def _schur_constant(gamma, n_angular=24, tol=1e-3, max_extensions=8):
+    """C(gamma) = schur_norm_Tb at b = lam = 1: sup over probe points x of
+    the larger of the row and column integrals of r/2 |K_1| around x.
 
-    Each integral is summed over shells of width 6/lam, up to max_extensions
-    of them, until core._converge accepts the running total (tolerance tol,
-    floor 1e-300).  Only W = 0 is supported (the Neumann assembly is run at
-    W = 0; with a potential the bound follows from the same kernel envelope).
+    The probes sit at x1 = 0, so the column norm |K(y, x)| = |K(x, P1 y)|
+    (P1: y1 -> -y1, see edge_kernel) is the row norm at the mirror angle
+    pi - phi; the angle set phi_a = (a + 1/2) 2 pi / n_angular is closed
+    under it for even n_angular, and only the row kernel is evaluated.
+    Each integral is summed over shells of width 6 until core._converge
+    accepts the running total (tolerance tol, floor 1e-300).
     """
+    probes = np.array([[0.0, t] for t in (0.05, 0.2, 0.5, 1.0, 2.0, 4.0)])
+    phis = (np.arange(n_angular) + 0.5) * (2 * np.pi / n_angular)
+    dirs = np.stack([np.cos(phis), np.sin(phis)], axis=1)
+    mirror = _mirror_angles(n_angular)
+
+    def totals(x):
+        total, r_lo, r_hi = 0.0, 0.0, 6.0
+        for _ in range(max_extensions):
+            nodes, wts = gauss_legendre_panels(np.linspace(r_lo, r_hi, 7), 8)
+            pts = x + nodes[:, None, None] * dirs
+            ok = pts[..., 1] > 1e-9
+            env = np.zeros(ok.shape)
+            K = halfplane_kernel_batch(gamma, 1.0, np.broadcast_to(x, pts[ok].shape), pts[ok])
+            env[ok] = np.linalg.norm(K, ord=2, axis=(1, 2))
+            env = np.maximum(env, env[:, mirror])
+            r = nodes[:, None]
+            total += np.sum(wts[:, None] * (r / 2.0) * env * r) * (2 * np.pi / n_angular)
+            yield total
+            r_lo, r_hi = r_hi, r_hi + 6.0
+
+    return max(_converge(totals(x), tol, 1e-300, "Schur integral tail")[0] for x in probes)
+
+
+def _mirror_angles(n_angular):
+    """Index of pi - phi_a in the angle set phi_a = (a + 1/2) 2 pi / n_angular."""
+    return (n_angular // 2 - 1 - np.arange(n_angular)) % n_angular
+
+
+def _schur_scale(b, W, lam):
+    """b / lam^2, the factor schur_norm_Tb puts on C(gamma), after its input
+    checks; 0 for b = 0, which needs no check."""
     if b == 0.0:
         return 0.0
     if W is not None and W.sup_norm != 0.0:
         raise NotImplementedError("Schur estimate implemented for W = 0")
     if lam < 1.0:
         raise ValueError(f"lambda must be >= 1, got {lam}")
-    g = gamma.gamma if isinstance(gamma, BoundaryParam) else BoundaryParam(gamma).gamma
-    probes = np.array(
-        [[0.0, t / lam] for t in (0.05, 0.2, 0.5, 1.0, 2.0, 4.0)]
-    )
-    phis = (np.arange(n_angular) + 0.5) * (2 * np.pi / n_angular)
-    dirs = np.stack([np.cos(phis), np.sin(phis)], axis=1)
+    return b / lam**2
 
-    def totals(x):
-        # ring integrals over successive shells of width 6/lam around x
-        total, r_lo, r_hi = 0.0, 0.0, 6.0 / lam
-        for _ in range(max_extensions):
-            nodes, wts = gauss_legendre_panels(np.linspace(r_lo, r_hi, 7), 8)
-            pts = x[None, None, :] + nodes[:, None, None] * dirs[None, :, :]
-            ok = pts[..., 1] > 1e-9 / lam
-            flat = pts.reshape(-1, 2)
-            okf = ok.reshape(-1)
-            # row integral |T_b(x, y)| and column integral |T_b(y, x)| share
-            # the same envelope; evaluate both and keep the larger
-            Xrep = np.broadcast_to(x, flat[okf].shape)
-            K_row = halfplane_kernel_batch(g, lam, Xrep, flat[okf])
-            K_col = halfplane_kernel_batch(g, lam, flat[okf], Xrep)
-            norm_row = np.linalg.norm(K_row, ord=2, axis=(1, 2))
-            norm_col = np.linalg.norm(K_col, ord=2, axis=(1, 2))
-            env = np.zeros(flat.shape[0])
-            env[okf] = np.maximum(norm_row, norm_col)
-            env = env.reshape(nodes.size, n_angular)
-            r = nodes[:, None]
-            total += np.sum(wts[:, None] * (b * r / 2.0) * env * r) * (2 * np.pi / n_angular)
-            yield total
-            r_lo, r_hi = r_hi, r_hi + 6.0 / lam
 
-    return max(_converge(totals(x), tol, 1e-300, "Schur integral tail")[0] for x in probes)
+def _schur_estimates(pairs, W, gamma, **ring):
+    """schur_norm_Tb at each (b, lam) of pairs, every pair checked, from one
+    C(gamma) (none when every b is 0); ring: keywords of _schur_constant."""
+    scales = [_schur_scale(b, W, lam) for b, lam in pairs]
+    C = _schur_constant(gamma, **ring) if any(scales) else 0.0
+    return [scale * C for scale in scales]
+
+
+def schur_norm_Tb(b, W, gamma, lam, n_angular=24, tol=1e-3, max_extensions=8):
+    """Schur-test estimate of ||T_b(i lam)||: sup over probe points of the
+    larger of the row and column integrals of the entrywise operator norm.
+
+    The probes, the shells (width 6/lam) and the kernel all scale with
+    1/lam (K_lam(x, y) = lam K_1(lam x, lam y)) and the stop rule is
+    relative, so the estimate is exactly (b / lam^2) C(gamma), with C the
+    integral at b = lam = 1 (see _schur_constant; n_angular must be even
+    and positive).  Only W = 0 is supported (the Neumann assembly is run at
+    W = 0; with a potential the bound follows from the same kernel envelope).
+    """
+    if not (n_angular > 0 and n_angular % 2 == 0):
+        raise ValueError(f"n_angular must be even and positive, got {n_angular}")
+    return _schur_estimates([(b, lam)], W, gamma, n_angular=n_angular, tol=tol,
+                            max_extensions=max_extensions)[0]
 
 
 def select_lambda0(b, W, gamma, lams):
     """Smallest lambda in the sweep with Schur estimate below 1/2."""
-    for lam in sorted(lams):
-        if schur_norm_Tb(b, W, gamma, lam) < 0.5:
+    lams = sorted(lams)
+    for lam, estimate in zip(lams, _schur_estimates([(b, lam) for lam in lams], W, gamma)):
+        if estimate < 0.5:
             return lam
     raise ValueError("no lambda in the sweep brings the Schur estimate below 1/2")
 
@@ -221,7 +248,8 @@ def _dressed_grid(b, gamma, lam, x_list, xprime, n=26, adjoint=False):
     (2N, 2N) block layout of kernel_ops._dense_kernel_matrix.
 
     The gauge phase and sigma.a_t(y - z) depend, like K, only on the triple
-    (i - k, j, l), so the dressing is applied once per triple.
+    (i - k, j, l), so the kernel table of kernel_ops._kernel_triples is
+    dressed once per triple and then gathered.
     """
     pts = np.vstack([np.atleast_2d(x_list), [xprime]])
     c1 = 0.5 * (pts[:, 0].min() + pts[:, 0].max())
@@ -232,11 +260,9 @@ def _dressed_grid(b, gamma, lam, x_list, xprime, n=26, adjoint=False):
     g1 = c1 - half + h * (np.arange(n) + 0.5)
     g2 = h * (np.arange(n2) + 0.5)
     Y = np.stack(np.meshgrid(g1, g2, indexing="ij"), axis=-1).reshape(-1, 2)
-    # read one block per triple back out of the gathered kernel matrix
     p, q = _triple_pairs(n, n2)
-    K = _dense_kernel_matrix(gamma, lam, Y, h).reshape(Y.shape[0], 2, Y.shape[0], 2)[p, :, q, :]
-    T = _dress(b, K, Y[p], Y[q], "T*" if adjoint else "T")
-    return Y, h, _gather_triples(T, n)
+    T = _dress(b, _kernel_triples(gamma, lam, Y, h), Y[p], Y[q], "T*" if adjoint else "T")
+    return Y, h, _gather_triples(T)
 
 
 def magnetic_resolvent(b, W, gamma, lam, order, x, xprime, adjoint=False, n_grid=26):

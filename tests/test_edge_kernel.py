@@ -176,6 +176,23 @@ def test_halfplane_kernel_batch_matches_single():
         assert sup_norm(batch[i] - single) < 1e-8
 
 
+def test_halfplane_kernel_reflection_transpose_identity():
+    # K(y, x) = K(P1 x, P1 y)^T with P1: x1 -> -x1, on random pairs and on
+    # closure points x2 = 0 at either end of a pair
+    n = 60
+    X = np.column_stack([RNG.uniform(-3, 3, n), RNG.uniform(0.0, 2.0, n)])
+    Y = np.column_stack([RNG.uniform(-3, 3, n), RNG.uniform(0.0, 2.0, n)])
+    X[:10, 1] = 0.0
+    Y[10:20, 1] = 0.0
+    P1 = np.array([-1.0, 1.0])
+    for g in (np.exp(-2.0), 1.0, np.exp(2.0)):
+        for lam in (1.0, 8.0):
+            K = halfplane_kernel_batch(g, lam, Y, X)
+            mirrored = np.swapaxes(halfplane_kernel_batch(g, lam, P1 * X, P1 * Y), -1, -2)
+            scale = np.max(np.abs(K), axis=(1, 2))
+            assert np.all(np.max(np.abs(K - mirrored), axis=(1, 2)) <= 1e-14 * scale)
+
+
 def test_halfplane_kernel_rejects_bad_input():
     # the scalar and the batch path raise the same exception type for each
     # bad pair; in the batch the bad pair follows a good one

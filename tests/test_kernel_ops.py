@@ -453,6 +453,29 @@ def test_grid_operator_on_both_grid_layouts():
         assert np.max(np.abs(_pair_blocks(T) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_grid_operator_evaluates_one_kernel_per_mirror_pair(monkeypatch):
+    # table[m, j, l] = table[m, l, j]^T: only the triples with j <= l off the
+    # singular cells reach the kernel, each once
+    g, lam = 1.0, 2.0
+    Y, h, _ = _dressed_grid(0.5, g, lam, np.array([0.1, 0.45]), np.array([0.3, 0.6]), n=6)
+    n1, n2 = 6, Y.shape[0] // 6
+    seen = []
+
+    def recording(gamma, lam, X, Xp, cfg=None):
+        seen.append((X, Xp))
+        return halfplane_kernel_batch(gamma, lam, X, Xp, cfg)
+
+    monkeypatch.setattr(kernel_ops, "halfplane_kernel_batch", recording)
+    table = kernel_ops._kernel_triples(g, lam, Y, h)
+    X, Xp = (np.concatenate(a) for a in zip(*seen))
+    m = np.rint((X[:, 0] - Xp[:, 0]) / h).astype(int)
+    j = np.searchsorted(Y[:n2, 1], X[:, 1])
+    l = np.searchsorted(Y[:n2, 1], Xp[:, 1])
+    assert np.all(j <= l) and not np.any((m == 0) & (j == l))
+    assert np.unique((m * n2 + j) * n2 + l).size == X.shape[0] == (2 * n1 - 1) * n2 * (n2 + 1) // 2 - n2
+    assert np.array_equal(table, np.swapaxes(np.swapaxes(table, 1, 2), -1, -2))
+
+
 def test_gauss_legendre_panels_matches_per_panel_rule():
     # one set of edges of each kind in use: uniform (edge_kernel,
     # schur_norm_Tb), geometric (hs_calculus), dyadic (polar patches)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from dirac_edge.edge_kernel import fit_decay, halfplane_kernel
+from dirac_edge import magnetic
+from dirac_edge.core import gauss_legendre_panels
+from dirac_edge.edge_kernel import fit_decay, halfplane_kernel, halfplane_kernel_batch
 from dirac_edge.magnetic import (
+    _mirror_angles,
     MagneticField,
     S_b_kernel,
     T_b_kernel,
@@ -77,6 +80,81 @@ def test_schur_estimate_input_handling():
     assert schur_norm_Tb(0.0, None, 1.0, 4.0) == 0.0
     with pytest.raises(ValueError):
         schur_norm_Tb(0.5, None, 1.0, 0.5)
+
+
+def test_schur_estimate_needs_even_angle_count():
+    # the column norms are read off the row norms at the mirror angles
+    for n_angular in (23, 1, 0, -4):
+        with pytest.raises(ValueError, match="n_angular"):
+            schur_norm_Tb(0.5, None, 1.0, 4.0, n_angular=n_angular)
+
+
+def _shell_norms(gamma, lam, x, r_lo, n_angular=24):
+    """Row and column norms |K(x, y)| and |K(y, x)|, each (nodes, angles), on
+    the shell r_lo <= |y - x| <= r_lo + 6/lam of the Schur estimate (0 where
+    y2 <= 1e-9/lam), with the shell's radial nodes and weights."""
+    phis = (np.arange(n_angular) + 0.5) * (2 * np.pi / n_angular)
+    dirs = np.stack([np.cos(phis), np.sin(phis)], axis=1)
+    nodes, wts = gauss_legendre_panels(np.linspace(r_lo, r_lo + 6.0 / lam, 7), 8)
+    pts = x + nodes[:, None, None] * dirs
+    ok = pts[..., 1] > 1e-9 / lam
+    Xrep = np.broadcast_to(x, pts[ok].shape)
+    row, col = np.zeros(ok.shape), np.zeros(ok.shape)
+    row[ok] = np.linalg.norm(halfplane_kernel_batch(gamma, lam, Xrep, pts[ok]), ord=2, axis=(1, 2))
+    col[ok] = np.linalg.norm(halfplane_kernel_batch(gamma, lam, pts[ok], Xrep), ord=2, axis=(1, 2))
+    return row, col, nodes, wts
+
+
+def test_schur_mirror_angles_give_column_norms():
+    # one probe on x1 = 0 and one shell that meets the boundary: the row norm
+    # |K(x, y)| at the mirror angle equals the column norm |K(y, x)|
+    row, col, _, _ = _shell_norms(1.0, 8.0, np.array([0.0, 0.2 / 8.0]), 6.0 / 8.0)
+    assert np.any(row == 0.0)
+    assert np.max(np.abs(row[:, _mirror_angles(24)] - col)) <= 1e-13 * np.max(col)
+    assert np.max(np.abs(row - col)) > 1e-3 * np.max(col)   # the pairing matters
+
+
+def _schur_by_rows_and_columns(b, gamma, lam, tol=1e-3):
+    """The Schur estimate summed at (b, lam) itself, with the row and the
+    column kernel both evaluated."""
+    best = 0.0
+    for t in (0.05, 0.2, 0.5, 1.0, 2.0, 4.0):
+        x = np.array([0.0, t / lam])
+        prev, total, r_lo = None, 0.0, 0.0
+        while prev is None or abs(total - prev) >= tol * total:
+            prev = total
+            row, col, nodes, wts = _shell_norms(gamma, lam, x, r_lo)
+            r = nodes[:, None]
+            total += np.sum(wts[:, None] * (b * r / 2.0) * np.maximum(row, col) * r) * (2 * np.pi / 24)
+            r_lo += 6.0 / lam
+        best = max(best, total)
+    return best
+
+
+def test_schur_estimate_is_exactly_b_over_lambda_squared():
+    scaled = [lam**2 * schur_norm_Tb(b, None, 1.0, lam) / b
+              for b in (0.25, 1.0) for lam in (1.0, 4.0, 8.0)]
+    assert np.ptp(scaled) <= 1e-12 * scaled[0]
+    # and the scaled value is the estimate summed at (b, lam) itself
+    for b, lam in ((0.5, 8.0), (0.25, 3.0)):
+        direct = _schur_by_rows_and_columns(b, 1.0, lam)
+        assert abs(schur_norm_Tb(b, None, 1.0, lam) - direct) <= 1e-12 * direct
+
+
+def test_schur_sweeps_integrate_once_per_gamma(monkeypatch):
+    calls = []
+    constant = magnetic._schur_constant
+    monkeypatch.setattr(magnetic, "_schur_constant",
+                        lambda *a, **kw: calls.append(a) or constant(*a, **kw))
+    assert select_lambda0(0.5, None, 1.0, [4.0, 1.0, 2.0]) == 2.0
+    estimates = magnetic._schur_estimates([(b, lam) for b in (0.25, 1.0) for lam in (2.0, 8.0)],
+                                          None, 1.0)
+    # every candidate is still checked, and b = 0 needs no integral
+    with pytest.raises(ValueError, match="lambda must be >= 1"):
+        magnetic._schur_estimates([(0.5, 2.0), (0.5, 0.5)], None, 1.0)
+    assert magnetic._schur_estimates([(0.0, 0.5)], None, 1.0) == [0.0]
+    assert len(calls) == 2
+    assert estimates == [schur_norm_Tb(b, None, 1.0, lam) for b in (0.25, 1.0) for lam in (2.0, 8.0)]
 
 
 def test_select_lambda0():
