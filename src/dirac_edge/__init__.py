@@ -20,12 +20,9 @@ from .closed_form import (
 from .edge_kernel import (
     ContourConfig,
     DecayFit,
-    EdgeGeometry,
-    edge_F,
     edge_F_batch,
     edge_F_direct,
     fit_decay,
-    halfplane_kernel,
     halfplane_kernel_batch,
     zigzag_zero_mode,
 )

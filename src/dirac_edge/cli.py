@@ -21,12 +21,7 @@ import time
 import numpy as np
 
 from .core import QuadratureError, SpectralPoint
-from .edge_kernel import (
-    fit_decay,
-    halfplane_kernel,
-    halfplane_kernel_batch,
-    zigzag_zero_mode,
-)
+from .edge_kernel import ContourConfig, fit_decay, halfplane_kernel_batch, zigzag_zero_mode
 from .fiber import (
     combes_thomas_check,
     discretize_fiber,
@@ -91,18 +86,10 @@ def _complex_vals(M):
     return out
 
 
-def _get(cfg, key, default=None, required=False):
-    if key in cfg:
-        return cfg[key]
-    if required:
-        raise KeyError(key)
-    return default
-
-
 def _potential(cfg):
     return PotentialField.constant(
-        w0=_get(cfg, "w0", 0.0), w1=_get(cfg, "w1", 0.0),
-        w2=_get(cfg, "w2", 0.0), w3=_get(cfg, "w3", 0.0),
+        w0=cfg.get("w0", 0.0), w1=cfg.get("w1", 0.0),
+        w2=cfg.get("w2", 0.0), w3=cfg.get("w3", 0.0),
     )
 
 
@@ -122,10 +109,10 @@ def _schwartz(spec):
 
 def _exp_kernel_grid(cfg):
     g, lam = cfg["gamma"], cfg["lam"]
-    xp = np.asarray(_get(cfg, "xprime", [0.0, 0.5]), dtype=float)
-    n = int(_get(cfg, "n", 41))
-    lo1, hi1 = _get(cfg, "x1_range", [-2.0, 2.0])
-    lo2, hi2 = _get(cfg, "x2_range", [0.05, 4.0])
+    xp = np.asarray(cfg.get("xprime", [0.0, 0.5]), dtype=float)
+    n = int(cfg.get("n", 41))
+    lo1, hi1 = cfg.get("x1_range", [-2.0, 2.0])
+    lo2, hi2 = cfg.get("x2_range", [0.05, 4.0])
     g1 = np.linspace(lo1, hi1, n)
     g2 = np.linspace(lo2, hi2, n)
     X = np.stack(np.meshgrid(g1, g2, indexing="ij"), -1).reshape(-1, 2)
@@ -138,11 +125,11 @@ def _exp_kernel_grid(cfg):
 
 def _exp_edge_decay_fit(cfg):
     g, lam = cfg["gamma"], cfg["lam"]
-    seed = int(_get(cfg, "seed", 0))
-    n = int(_get(cfg, "n_samples", 24))
-    r_min, r_max = _get(cfg, "r_range", [0.25, 4.0])
+    seed = int(cfg.get("seed", 0))
+    n = int(cfg.get("n_samples", 24))
+    r_min, r_max = cfg.get("r_range", [0.25, 4.0])
     rng = np.random.default_rng(seed)
-    xp = np.asarray(_get(cfg, "xprime", [0.3, 0.5]), dtype=float)
+    xp = np.asarray(cfg.get("xprime", [0.3, 0.5]), dtype=float)
     rs = np.geomspace(r_min, r_max, n)
     th = rng.uniform(0.15 * np.pi, 0.85 * np.pi, size=n)
     X = xp[None, :] + rs[:, None] * np.stack([np.cos(th), np.sin(th)], -1)
@@ -154,17 +141,15 @@ def _exp_edge_decay_fit(cfg):
 
 
 def _exp_zigzag_demo(cfg):
-    hs = np.asarray(_get(cfg, "h_values", np.geomspace(1e-3, 1e-1, 9).tolist()), float)
-    lam = _get(cfg, "lam", 1.0)
-    sep = _get(cfg, "separation", 0.5)
-    rows = []
-    for h in hs:
-        zz = abs(zigzag_zero_mode([0.0, h], [0.0, h]))
-        reg = np.max(np.abs(halfplane_kernel(1.0, lam, [0.0, h], [sep, h])))
-        rows.append([h, zz, reg])
-    mags = np.array([r[1] for r in rows])
+    hs = np.asarray(cfg.get("h_values", np.geomspace(1e-3, 1e-1, 9).tolist()), float)
+    lam = cfg.get("lam", 1.0)
+    sep = cfg.get("separation", 0.5)
+    mags = np.array([abs(zigzag_zero_mode([0.0, h], [0.0, h])) for h in hs])
+    X = np.column_stack([np.zeros_like(hs), hs])
+    K = halfplane_kernel_batch(1.0, lam, X, X + [sep, 0.0], ContourConfig())
+    regs = np.max(np.abs(K), axis=(1, 2))
+    rows = [[h, zz, reg] for h, zz, reg in zip(hs, mags, regs)]
     slope = np.polyfit(np.log(hs), np.log(mags), 1)[0]
-    regs = np.array([r[2] for r in rows])
     meta = {"zigzag_slope": float(slope), "regular_max": float(regs.max()),
             "regular_min": float(regs.min())}
     return ["h", "zigzag_abs", "regular_abs"], rows, meta
@@ -175,7 +160,7 @@ def _exp_born_series(cfg):
     W = _potential(cfg)
     x = np.asarray(cfg["x"], float)
     xp = np.asarray(cfg["xprime"], float)
-    orders = [int(k) for k in _get(cfg, "orders", [0, 1, 2])]
+    orders = [int(k) for k in cfg.get("orders", [0, 1, 2])]
     if min(orders, default=0) < 0:
         raise ValueError(f"order must lie in 0..5, got {min(orders)}")
     results = born_series(g, W, lam, max(orders, default=0), x, xp)
@@ -187,10 +172,10 @@ def _exp_born_series(cfg):
 
 def _exp_magnetic_neumann(cfg):
     b, g = cfg["b"], cfg["gamma"]
-    lams = _get(cfg, "lambda_candidates", [1.0, 2.0, 4.0, 8.0])
-    order = int(_get(cfg, "order", 2))
-    xp = np.asarray(_get(cfg, "xprime", [0.3, 0.6]), float)
-    pts = np.asarray(_get(cfg, "points", [[0.1, 0.45], [0.6, 1.0], [1.2, 0.8]]), float)
+    lams = cfg.get("lambda_candidates", [1.0, 2.0, 4.0, 8.0])
+    order = int(cfg.get("order", 2))
+    xp = np.asarray(cfg.get("xprime", [0.3, 0.6]), float)
+    pts = np.asarray(cfg.get("points", [[0.1, 0.45], [0.6, 1.0], [1.2, 0.8]]), float)
     lam0 = select_lambda0(b, None, g, lams)
     vals, tail = magnetic_resolvent(b, None, g, lam0, order, pts, xp)
     rows = [[x[0], x[1]] + _complex_vals(vals[i]) for i, x in enumerate(pts)]
@@ -200,18 +185,18 @@ def _exp_magnetic_neumann(cfg):
 
 def _exp_schur_sweep(cfg):
     g = cfg["gamma"]
-    bs = _get(cfg, "b_values", [0.25, 0.5, 1.0])
-    lams = _get(cfg, "lam_values", [2.0, 4.0, 8.0])
+    bs = cfg.get("b_values", [0.25, 0.5, 1.0])
+    lams = cfg.get("lam_values", [2.0, 4.0, 8.0])
     pairs = [(b, lam) for b in bs for lam in lams]
     rows = [[b, lam, s] for (b, lam), s in zip(pairs, _schur_estimates(pairs, None, g))]
     return ["b", "lam", "schur_norm"], rows, {}
 
 
 def _exp_hs_matrix_check(cfg):
-    dim = int(_get(cfg, "dim", 50))
-    N = int(_get(cfg, "N", 4))
-    seed = int(_get(cfg, "seed", 0))
-    F = _schwartz(_get(cfg, "F", {"type": "gaussian", "center": 1.0, "sigma": 0.5}))
+    dim = int(cfg.get("dim", 50))
+    N = int(cfg.get("N", 4))
+    seed = int(cfg.get("seed", 0))
+    F = _schwartz(cfg.get("F", {"type": "gaussian", "center": 1.0, "sigma": 0.5}))
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     H = (A + A.conj().T) / 2.0
@@ -230,15 +215,15 @@ def _exp_fiber_F(cfg):
     F = _schwartz(cfg["F"])
     g = cfg.get("gamma")
     b, xi = cfg["b"], cfg["xi"]
-    ts = np.asarray(_get(cfg, "t_values", [0.5, 1.0, 2.0]), float)
-    tps = np.asarray(_get(cfg, "tprime_values", ts.tolist()), float)
+    ts = np.asarray(cfg.get("t_values", [0.5, 1.0, 2.0]), float)
+    tps = np.asarray(cfg.get("tprime_values", ts.tolist()), float)
     kw = {}
     if "h" in cfg:
         # internal grid with a step-halving convergence check
-        kw = {"h": cfg["h"], "T_dom": _get(cfg, "T_dom"),
-              "rich_tol": _get(cfg, "rich_tol", 1e-3)}
+        kw = {"h": cfg["h"], "T_dom": cfg.get("T_dom"),
+              "rich_tol": cfg.get("rich_tol", 1e-3)}
     else:
-        kw = {"grid": discretize_fiber(g, xi, b, T_dom=_get(cfg, "T_dom"),
+        kw = {"grid": discretize_fiber(g, xi, b, T_dom=cfg.get("T_dom"),
                                        whole_line=g is None)}
     rows = []
     for t in ts:
@@ -250,9 +235,9 @@ def _exp_fiber_F(cfg):
 
 def _exp_edge_bulk_gap(cfg):
     g, b = cfg["gamma"], cfg["b"]
-    F = _schwartz(_get(cfg, "F", {"type": "plateau",
+    F = _schwartz(cfg.get("F", {"type": "plateau",
                                   "energies": [-1.2, -0.2, 0.2, 1.2]}))
-    x2 = np.asarray(_get(cfg, "x2_values", [0.2, 2.0, 3.0, 4.0, 6.0, 8.0]), float)
+    x2 = np.asarray(cfg.get("x2_values", [0.2, 2.0, 3.0, 4.0, 6.0, 8.0]), float)
     d = edge_bulk_diagonal_gap(F, g, b, x2)
     rows = [[x2[i], d[i]] for i in range(x2.size)]
     sel = x2 >= 2.0
@@ -263,9 +248,9 @@ def _exp_edge_bulk_gap(cfg):
 
 def _exp_dispersion(cfg):
     g, b = cfg["gamma"], cfg["b"]
-    lo, hi = _get(cfg, "xi_range", [-6.0, 2.0])
-    n_xi = int(_get(cfg, "n_xi", 120))
-    n_branches = int(_get(cfg, "n_branches", 3))
+    lo, hi = cfg.get("xi_range", [-6.0, 2.0])
+    n_xi = int(cfg.get("n_xi", 120))
+    n_branches = int(cfg.get("n_branches", 3))
     xi = np.linspace(lo, hi, n_xi)
     disp = dispersion_curves(g, b, xi, n_branches)
     head = ["xi"] + [f"E{k}" for k in range(disp.branches.shape[0])]
@@ -275,11 +260,11 @@ def _exp_dispersion(cfg):
 
 
 def _exp_bulk_edge(cfg):
-    bs = _get(cfg, "b_values", [1.0])
-    gs = _get(cfg, "gamma_values", [1.0])
-    gaps = _get(cfg, "gaps", [[0, 0], [1, 1]])
-    xi_range = _get(cfg, "xi_range", [-8.0, 3.0])
-    Ls = _get(cfg, "L_values", [])
+    bs = cfg.get("b_values", [1.0])
+    gs = cfg.get("gamma_values", [1.0])
+    gaps = cfg.get("gaps", [[0, 0], [1, 1]])
+    xi_range = cfg.get("xi_range", [-8.0, 3.0])
+    Ls = cfg.get("L_values", [])
     rows = []
     meta = {"rho_L": {}}
     for b in bs:
@@ -302,12 +287,12 @@ def _exp_bulk_edge(cfg):
 def _exp_combes_thomas(cfg):
     g = cfg.get("gamma")
     b, xi = cfg["b"], cfg["xi"]
-    fib = discretize_fiber(g, xi, b, T_dom=_get(cfg, "T_dom"), whole_line=g is None)
-    x0 = float(_get(cfg, "x0", 1.0))
-    u = float(_get(cfg, "u", 0.0))
+    fib = discretize_fiber(g, xi, b, T_dom=cfg.get("T_dom"), whole_line=g is None)
+    x0 = float(cfg.get("x0", 1.0))
+    u = float(cfg.get("u", 0.0))
     rows = []
-    for C1 in _get(cfg, "C1_values", [0.25, 0.5, 0.75]):
-        for v in _get(cfg, "v_values", [0.5, 1.0, 2.0]):
+    for C1 in cfg.get("C1_values", [0.25, 0.5, 0.75]):
+        for v in cfg.get("v_values", [0.5, 1.0, 2.0]):
             measured, bound = combes_thomas_check(fib, SpectralPoint(u, v), C1, x0)
             rows.append([C1, v, measured, bound, measured / bound])
     return ["C1", "v", "measured", "bound", "ratio"], rows, {}

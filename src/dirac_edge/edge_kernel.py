@@ -9,8 +9,8 @@ mirrored point is not too small; serves as an oracle for the contour route).
 One evaluator, `edge_F_batch`, computes the contour route and one assembly,
 `halfplane_kernel_batch`, adds the bulk part and checks the inputs.  Without
 a `ContourConfig` they make a single pass on a fixed node rule; with one they
-double the panel count until core._converge accepts.  The scalar names
-`edge_F` and `halfplane_kernel` are batches of one that always refine.
+double the panel count until core._converge accepts.  A single point is a
+batch of one, and its refined value is the call with cfg=ContourConfig().
 
 The kernel satisfies the reflection-transpose identity
 
@@ -37,13 +37,10 @@ from .core import (
 from .closed_form import bulk_plane_kernel
 
 __all__ = [
-    "EdgeGeometry",
     "ContourConfig",
     "DecayFit",
-    "edge_F",
     "edge_F_batch",
     "edge_F_direct",
-    "halfplane_kernel",
     "halfplane_kernel_batch",
     "fit_decay",
     "zigzag_zero_mode",
@@ -54,26 +51,6 @@ _NODES_PER_PANEL = 12
 _PANEL_WIDTH = 0.4
 # points x nodes summed at once; keeps the integrand temporaries small
 _BLOCK = 1 << 17
-
-
-@dataclass(frozen=True)
-class EdgeGeometry:
-    """Separation along the edge S = x1 - x1' and mirrored height T = x2 + x2'."""
-
-    S: float
-    T: float
-
-    def __post_init__(self):
-        if not (self.T > 0.0):
-            raise ValueError(f"mirrored height T must be positive, got {self.T}")
-
-    @property
-    def r(self):
-        return float(np.hypot(self.S, self.T))
-
-    @property
-    def theta(self):
-        return float(np.arctan2(self.S, self.T))
 
 
 @dataclass(frozen=True)
@@ -153,16 +130,10 @@ def _contour_sum(g, r, theta, eps, refinement):
     return F
 
 
-def edge_F(geom, gamma, cfg=None):
-    """Reflected-term matrix F(S, T), refined until converged under cfg.
-
-    A batch of one through edge_F_batch with cfg defaulting to ContourConfig().
-    """
-    return edge_F_batch(geom.S, geom.T, gamma, cfg or ContourConfig())
-
-
 def edge_F_batch(S, T, gamma, cfg=None):
-    """Reflected-term matrices F(S, T) over broadcast arrays, shape (..., 2, 2).
+    """Reflected-term matrices F(S, T) over broadcast arrays of the separation
+    along the edge S = x1 - x1' and the mirrored height T = x2 + x2' > 0;
+    returns shape (..., 2, 2).
 
     All points share one node rule.  Without cfg this is a single pass at
     epsilon = 0.3, within about 1e-13 relative of the refined value for
@@ -189,22 +160,23 @@ def edge_F_batch(S, T, gamma, cfg=None):
     return _converge(refinements, cfg.tol, np.finfo(float).tiny, "contour quadrature")[0]
 
 
-def edge_F_direct(geom, gamma, tol=1e-10):
-    """Reflected-term matrix by direct quadrature in the momentum variable.
+def edge_F_direct(S, T, gamma, tol=1e-10):
+    """Reflected-term matrix F(S, T) at one point by direct quadrature in the
+    momentum variable; the reference oracle for edge_F_batch.
 
     Only valid for T >= 0.1: the integrand decays like exp(-<xi>*T), so for
-    small T the truncation needed is impractically large; use edge_F there.
-    The panel count doubles up to seven times until core._converge accepts
-    (tolerance tol, floor 1).
+    small T the truncation needed is impractically large; use edge_F_batch
+    there.  The panel count doubles up to seven times until core._converge
+    accepts (tolerance tol, floor 1).
     """
     if not isinstance(gamma, BoundaryParam):
         gamma = BoundaryParam(gamma)
-    if geom.T < 0.1:
+    S, T = float(S), float(T)
+    if not T >= 0.1:
         raise ValueError(
-            f"direct quadrature needs T >= 0.1 (got T={geom.T}); use edge_F instead"
+            f"direct quadrature needs T >= 0.1 (got T={T}); use edge_F_batch instead"
         )
     g = gamma.gamma
-    S, T = geom.S, geom.T
     xi_max = (-np.log(tol) + 5.0) / T + 10.0
 
     def estimate(n_panels, nodes_per_panel=12):
@@ -222,18 +194,10 @@ def edge_F_direct(geom, gamma, tol=1e-10):
     return _converge(refinements, tol, 1.0, "direct quadrature")[0]
 
 
-def halfplane_kernel(gamma, lam, x, xprime, cfg=None):
-    """Half-plane resolvent kernel at one pair of points, refined until converged.
-
-    A batch of one through halfplane_kernel_batch with cfg defaulting to
-    ContourConfig().
-    """
-    return halfplane_kernel_batch(gamma, lam, x, xprime, cfg or ContourConfig())
-
-
 def halfplane_kernel_batch(gamma, lam, X, Xp, cfg=None):
     """Half-plane resolvent kernel at energy i*lam, lam > 0, over point arrays
-    X, Xp of shape (..., 2); returns (..., 2, 2).
+    X, Xp of shape (..., 2) (a single pair is a batch of one, shape (2,));
+    returns (..., 2, 2).
 
     Evaluated by rescaling to lam = 1: K = lam * [bulk(lam*dx) + edge term],
     where the edge term is F(lam*S, lam*T) sigma_1 / (4 pi) from edge_F_batch

@@ -256,28 +256,30 @@ def hs_apply_matrix(F, N, H, quad=None):
     return _converge(refinements, quad.tol, 1.0, "Helffer-Sjostrand quadrature")[0]
 
 
-def _dof_to_node_map(fib):
-    """Matrix A with A[i,s,:] mapping DOF vectors to spinor component s at
-    node i, mirroring FiberDiscretization.eigensystem."""
+def _node_row(fib, i):
+    """(2, dim) map from a DOF vector to the spinor at node i, the rule of
+    FiberDiscretization.eigensystem: psi1 is DOF 2i (the half-cell metric
+    undone at a half-line's first node) and psi2 the average of the
+    neighbouring midpoints (ends: one-sided extrapolation)."""
     n = fib.grid.size
-    A = np.zeros((n, 2, fib.dim))
-    for i in range(n):
-        A[i, 0, 2 * i] = np.sqrt(2.0) if (fib.half_line and i == 0) else 1.0
-    for i in range(1, n - 1):
-        A[i, 1, 2 * i - 1] = 0.5
-        A[i, 1, 2 * i + 1] = 0.5
-    A[0, 1, 1], A[0, 1, 3] = 1.5, -0.5
-    A[n - 1, 1, 2 * n - 3], A[n - 1, 1, 2 * n - 5] = 1.5, -0.5
-    return A
+    row = np.zeros((2, fib.dim))
+    row[0, 2 * i] = np.sqrt(2.0) if (fib.half_line and i == 0) else 1.0
+    if i == 0:
+        row[1, 1], row[1, 3] = 1.5, -0.5
+    elif i == n - 1:
+        row[1, 2 * n - 3], row[1, 2 * n - 5] = 1.5, -0.5
+    else:
+        row[1, 2 * i - 1] = row[1, 2 * i + 1] = 0.5
+    return row
 
 
-def _interp_rows(fib, t, A):
-    """Linear interpolation of the node map A at positions t -> (2, dim)."""
+def _interp_rows(fib, t):
+    """Linear interpolation of the node rows at position t -> (2, dim)."""
     t = float(t)
     g = fib.grid
     j = int(np.clip(np.searchsorted(g, t) - 1, 0, g.size - 2))
     w = (t - g[j]) / (g[j + 1] - g[j])
-    return (1.0 - w) * A[j] + w * A[j + 1]
+    return (1.0 - w) * _node_row(fib, j) + w * _node_row(fib, j + 1)
 
 
 def fiber_F_kernel(F, gamma, b, xi, t, tprime, grid=None, method="eig", N=4,
@@ -300,9 +302,8 @@ def fiber_F_kernel(F, gamma, b, xi, t, tprime, grid=None, method="eig", N=4,
     else:
         fib = grid
     emax = F.support_max
-    A = _dof_to_node_map(fib)
-    row = _interp_rows(fib, t, A)
-    col = _interp_rows(fib, tprime, A)
+    row = _interp_rows(fib, t)
+    col = _interp_rows(fib, tprime)
     if method == "eig":
         E, V = fib.raw_eigensystem(emin=-emax, emax=emax)
         if E.size == 0:

@@ -24,14 +24,12 @@ from .core import (
     _converge,
     gauss_legendre_panels,
 )
-from .edge_kernel import halfplane_kernel, halfplane_kernel_batch
+from .edge_kernel import ContourConfig, halfplane_kernel_batch
 from .kernel_ops import (
-    PotentialField,
     _gather_triples,
     _kernel_triples,
     _series_terms,
     _triple_pairs,
-    born_series,
 )
 
 __all__ = [
@@ -108,10 +106,13 @@ def transverse_gauge_residual(x, xprime, fd_step=1e-5):
     return expected
 
 
-def _zero_field_kernel(gamma, W, lam, x, xprime, order=2):
-    if W is None or W.sup_norm == 0.0:
-        return halfplane_kernel(gamma, lam, x, xprime)
-    return born_series(gamma, W, lam, order, x, xprime)[-1].value
+def _check_field(b, W):
+    """The input check of every magnetic kernel, estimate and assembly: b a
+    finite nonnegative flux density, and no potential (W None or zero)."""
+    if not (np.isfinite(b) and b >= 0.0):
+        raise ValueError(f"flux density b must be finite and nonnegative, got {b}")
+    if W is not None and W.sup_norm != 0.0:
+        raise NotImplementedError("magnetic kernels implemented for W = 0")
 
 
 def _sigma_dot_at(D):
@@ -139,22 +140,27 @@ def _dress(b, K, X, Xp, kind):
     return b * sig_at @ S if kind == "T" else -b * S @ sig_at
 
 
-def S_b_kernel(b, W, gamma, lam, x, xprime, order=2):
-    """Phase-dressed zero-field kernel e^{i b phi} (D_{0,W} - i lam)^{-1}."""
-    if b < 0:
-        raise ValueError(f"b must be nonnegative, got {b}")
-    return _dress(b, _zero_field_kernel(gamma, W, lam, x, xprime, order), x, xprime, "S")
+def S_b_kernel(b, W, gamma, lam, x, xprime):
+    """Phase-dressed zero-field kernel e^{i b phi} (D_0 - i lam)^{-1} over point
+    arrays x, x' of shape (..., 2), refined (halfplane_kernel_batch with
+    cfg=ContourConfig()); W must be None or zero."""
+    _check_field(b, W)
+    K = halfplane_kernel_batch(gamma, lam, x, xprime, ContourConfig())
+    return _dress(b, K, x, xprime, "S")
 
 
-def T_b_kernel(b, W, gamma, lam, x, xprime, order=2):
-    """b sigma.a_t(x-x') e^{i b phi} (D_{0,W} - i lam)^{-1}; zero at x = x'."""
-    if b < 0:
-        raise ValueError(f"b must be nonnegative, got {b}")
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xprime, dtype=float)
-    if b == 0.0 or np.array_equal(x, xp):
-        return np.zeros((2, 2), dtype=complex)
-    return _dress(b, _zero_field_kernel(gamma, W, lam, x, xp, order), x, xp, "T")
+def T_b_kernel(b, W, gamma, lam, x, xprime):
+    """b sigma.a_t(x-x') e^{i b phi} (D_0 - i lam)^{-1} over point arrays as
+    S_b_kernel; zero at b = 0 and at pairs with x = x'."""
+    _check_field(b, W)
+    x, xp = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(xprime, dtype=float))
+    out = np.zeros(x.shape[:-1] + (2, 2), dtype=complex)
+    off = ~np.all(x == xp, axis=-1)
+    if b != 0.0 and np.any(off):
+        x, xp = x[off], xp[off]
+        K = halfplane_kernel_batch(gamma, lam, x, xp, ContourConfig())
+        out[off] = _dress(b, K, x, xp, "T")
+    return out
 
 
 def _schur_constant(gamma, n_angular=24, tol=1e-3, max_extensions=8):
@@ -198,11 +204,12 @@ def _mirror_angles(n_angular):
 
 def _schur_scale(b, W, lam):
     """b / lam^2, the factor schur_norm_Tb puts on C(gamma), after its input
-    checks; 0 for b = 0, which needs no check."""
+    checks; 0 for b = 0, where lam need only be finite."""
+    _check_field(b, W)
+    if not np.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     if b == 0.0:
         return 0.0
-    if W is not None and W.sup_norm != 0.0:
-        raise NotImplementedError("Schur estimate implemented for W = 0")
     if lam < 1.0:
         raise ValueError(f"lambda must be >= 1, got {lam}")
     return b / lam**2
@@ -273,8 +280,7 @@ def magnetic_resolvent(b, W, gamma, lam, order, x, xprime, adjoint=False, n_grid
     (1 - ||T_b||) with the Schur estimate for ||T_b||.  With adjoint=True
     the mirror expansion sum_k (T_b(-i lam)*)^k S_b(-i lam)* is used.
     """
-    if W is not None and W.sup_norm != 0.0:
-        raise NotImplementedError("Neumann assembly implemented for W = 0")
+    _check_field(b, W)
     g = gamma.gamma if isinstance(gamma, BoundaryParam) else BoundaryParam(gamma).gamma
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -288,7 +294,7 @@ def magnetic_resolvent(b, W, gamma, lam, order, x, xprime, adjoint=False, n_grid
     s_norm = 1.0 / lam
     tail = s_norm * t_norm ** (order + 1) / (1.0 - t_norm)
 
-    out = np.stack([S_b_kernel(b, None, g, lam, xi, xprime) for xi in X])
+    out = S_b_kernel(b, None, g, lam, X, xprime)
     if order > 0:
         Y, h, T = _dressed_grid(b, g, lam, X, xprime, n=n_grid, adjoint=adjoint)
         Yc = np.broadcast_to(xprime, Y.shape)

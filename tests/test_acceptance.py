@@ -14,11 +14,11 @@ from numpy.polynomial.legendre import leggauss
 from dirac_edge.closed_form import apply_fiber_resolvent
 from dirac_edge.core import BoundaryParam, SpectralPoint, sup_norm
 from dirac_edge.edge_kernel import (
-    EdgeGeometry,
-    edge_F,
+    ContourConfig,
+    edge_F_batch,
     edge_F_direct,
     fit_decay,
-    halfplane_kernel,
+    halfplane_kernel_batch,
     zigzag_zero_mode,
 )
 from dirac_edge.fiber import (
@@ -40,6 +40,7 @@ from dirac_edge.kernel_ops import PotentialField, born_series
 from dirac_edge.magnetic import magnetic_resolvent, schur_norm_Tb
 
 RNG_SEED = 20260823
+REFINED = ContourConfig()
 
 
 def _report(num, name, ok, detail, t0, budget):
@@ -60,7 +61,7 @@ def test_criterion_01_bessel_cross_check():
     t0 = time.perf_counter()
     worst = 0.0
     for T in (0.5, 1.0, 2.0):
-        F = edge_F(EdgeGeometry(S=0.0, T=T), BoundaryParam(1.0))
+        F = edge_F_batch(0.0, T, BoundaryParam(1.0), REFINED)
         K0 = complex(besselk(0, T))
         K1 = complex(besselk(1, T))
         oracle = np.array([[2j * K0, 2 * K1], [-2 * K1, 2j * K0]])
@@ -75,9 +76,8 @@ def test_criterion_02_contour_vs_direct_quadrature():
     worst = 0.0
     for _ in range(100):
         g = BoundaryParam(float(rng.uniform(0.2, 5.0)))
-        geom = EdgeGeometry(S=float(rng.uniform(-3.0, 3.0)),
-                            T=float(rng.uniform(0.5, 3.0)))
-        worst = max(worst, sup_norm(edge_F(geom, g) - edge_F_direct(geom, g)))
+        S, T = float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.5, 3.0))
+        worst = max(worst, sup_norm(edge_F_batch(S, T, g, REFINED) - edge_F_direct(S, T, g)))
     _report(2, "contour/direct equivalence", worst < 1e-8,
             f"100 random geometries, max diff {worst:.2e} < 1e-8", t0, 30.0)
 
@@ -85,7 +85,8 @@ def test_criterion_02_contour_vs_direct_quadrature():
 def _decay_samples(gamma, lam, base, direction, rs):
     base = np.asarray(base, dtype=float)
     u = np.asarray(direction, dtype=float)
-    return [(base + r * u, base, halfplane_kernel(gamma, lam, base + r * u, base))
+    return [(base + r * u, base,
+             halfplane_kernel_batch(gamma, lam, base + r * u, base, REFINED))
             for r in rs]
 
 
@@ -119,8 +120,8 @@ def test_criterion_04_scaling_identity():
     xp = np.array([-1.2, 0.3])
     worst = 0.0
     for lam in (0.5, 2.0, 4.0):
-        a = halfplane_kernel(g, lam, x, xp)
-        b = lam * halfplane_kernel(g, 1.0, lam * x, lam * xp)
+        a = halfplane_kernel_batch(g, lam, x, xp, REFINED)
+        b = lam * halfplane_kernel_batch(g, 1.0, lam * x, lam * xp, REFINED)
         worst = max(worst, sup_norm(a - b) / sup_norm(a))
     _report(4, "scaling identity", worst < 1e-8,
             f"max relative diff {worst:.2e} < 1e-8", t0, 10.0)
@@ -327,7 +328,7 @@ def test_criterion_14_zigzag_anomaly():
     slope = np.polyfit(np.log(hs), np.log(mags), 1)[0]
     # at gamma = 1 the kernel stays bounded over the same boundary approach
     regs = np.array([
-        np.max(np.abs(halfplane_kernel(1.0, 1.0, [0.0, h], [0.5, h])))
+        np.max(np.abs(halfplane_kernel_batch(1.0, 1.0, [0.0, h], [0.5, h], REFINED)))
         for h in hs
     ])
     _report(14, "zigzag anomaly", abs(slope + 2.0) < 0.01 and regs.max() < 1.0,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dirac_edge.cli import list_experiments, main
-from dirac_edge.edge_kernel import halfplane_kernel
+from dirac_edge.edge_kernel import ContourConfig, halfplane_kernel_batch
 
 ALL_EXPERIMENTS = [
     "kernel-grid", "edge-decay-fit", "zigzag-demo", "born-series",
@@ -45,7 +45,8 @@ def test_kernel_grid_run_is_deterministic(tmp_path):
     assert {"x1", "x2", "K00_re", "K00_im", "K11_im"} <= set(rows[0])
     # spot value against the kernel itself
     r = rows[0]
-    K = halfplane_kernel(1.0, 1.0, [float(r["x1"]), float(r["x2"])], [0.0, 0.5])
+    K = halfplane_kernel_batch(1.0, 1.0, [float(r["x1"]), float(r["x2"])], [0.0, 0.5],
+                               ContourConfig())
     assert abs(complex(float(r["K00_re"]), float(r["K00_im"])) - K[0, 0]) < 1e-12
     # sidecar carries the resolved config; rerun is byte-identical
     meta = json.loads((tmp_path / "kg.meta.json").read_text())
@@ -88,6 +89,16 @@ def test_module_precondition_maps_to_exit_2(tmp_path, capsys):
     assert not (tmp_path / "b.csv").exists()
 
 
+def test_negative_field_in_schur_sweep_exits_2(tmp_path, capsys):
+    path = _write_cfg(tmp_path, {
+        "experiment": "schur-sweep", "output": str(tmp_path / "s"),
+        "gamma": 1.0, "b_values": [-0.5], "lam_values": [2.0],
+    })
+    assert main(["run", path]) == 2
+    assert "flux density" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_nonconvergence_maps_to_exit_3(tmp_path, capsys):
     path = _write_cfg(tmp_path, {
         "experiment": "fiber-F", "output": str(tmp_path / "f"),
@@ -120,7 +131,7 @@ def test_born_series_experiment_rows(tmp_path):
     assert main(["run", path]) == 0
     rows = _read_rows(tmp_path / "b.csv")
     assert [r["order"] for r in rows] == ["0", "1"]
-    K = halfplane_kernel(1.0, 2.0, [0.3, 0.8], [1.0, 0.4])
+    K = halfplane_kernel_batch(1.0, 2.0, [0.3, 0.8], [1.0, 0.4], ContourConfig())
     assert abs(complex(float(rows[0]["K01_re"]), float(rows[0]["K01_im"]))
                - K[0, 1]) < 1e-12
     tails = [float(r["tail_bound"]) for r in rows]

@@ -1,8 +1,10 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from dirac_edge.core import QuadratureError
-from dirac_edge.edge_kernel import EdgeGeometry, edge_F_direct
+from dirac_edge.edge_kernel import edge_F_direct
 from dirac_edge.hs_calculus import (
     HsQuadrature,
     SchwartzFunction,
@@ -38,7 +40,7 @@ def _gap(max_extensions):
 # (a tolerance of 0 is never met); the flag says whether it made at least two
 # estimates
 FAILING = {
-    "edge_F_direct": (lambda: edge_F_direct(EdgeGeometry(1.0, 1.0), 1.0, tol=1e-30), True),
+    "edge_F_direct": (lambda: edge_F_direct(1.0, 1.0, 1.0, tol=1e-30), True),
     "compose2": (_compose2_strict, True),
     "hs_apply_matrix": (_hs_strict, True),
     "fiber_F_kernel": (lambda: fiber_F_kernel(
@@ -63,3 +65,13 @@ def test_non_convergence_raises_quadrature_error_with_iterates(name):
     else:
         # one estimate (no tail was added): there is no previous iterate
         assert exc.value.previous is None
+
+
+@pytest.mark.parametrize("layer", ["closed_form", "edge_kernel", "kernel_ops", "magnetic",
+                                   "hs_calculus", "fiber"])
+def test_every_exported_name_resolves(layer):
+    # a stale __all__ entry breaks `from module import *` and every tool
+    # that looks the exported names up one by one
+    mod = importlib.import_module(f"dirac_edge.{layer}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []

@@ -7,25 +7,27 @@ from dirac_edge.closed_form import bulk_plane_kernel
 from dirac_edge.core import BoundaryParam, DiagonalKernelError, QuadratureError, sup_norm
 from dirac_edge.edge_kernel import (
     ContourConfig,
-    EdgeGeometry,
-    edge_F,
     edge_F_batch,
     edge_F_direct,
     fit_decay,
-    halfplane_kernel,
     halfplane_kernel_batch,
     zigzag_zero_mode,
 )
 
 RNG = np.random.default_rng(911)
+REFINED = ContourConfig()
 
 
 def test_edge_geometry_validation():
-    g = EdgeGeometry(S=3.0, T=4.0)
-    assert abs(g.r - 5.0) < 1e-15
-    assert abs(g.theta - np.arctan2(3.0, 4.0)) < 1e-15
-    with pytest.raises(ValueError):
-        EdgeGeometry(S=1.0, T=0.0)
+    # the mirrored height T must be positive at every point of a batch, on
+    # the single pass and the refined path alike; the direct oracle needs
+    # T >= 0.1 and rejects a NaN height
+    for T in (0.0, -1.0, np.nan, [1.0, 0.0]):
+        for cfg in (None, REFINED):
+            with pytest.raises(ValueError, match="positive"):
+                edge_F_batch(1.0, T, 1.0, cfg)
+    with pytest.raises(ValueError, match="T >= 0.1"):
+        edge_F_direct(1.0, np.nan, 1.0)
 
 
 def test_edge_F_bessel_identity_gamma_one():
@@ -33,7 +35,7 @@ def test_edge_F_bessel_identity_gamma_one():
     # reduces to modified Bessel functions:
     # F(0, T) = [[2i K0(T), 2 K1(T)], [-2 K1(T), 2i K0(T)]]
     for T in (0.5, 1.0, 3.0):
-        F = edge_F(EdgeGeometry(S=0.0, T=T), BoundaryParam(1.0))
+        F = edge_F_batch(0.0, T, BoundaryParam(1.0), REFINED)
         oracle = np.array(
             [[2j * k0(T), 2 * k1(T)], [-2 * k1(T), 2j * k0(T)]], dtype=complex
         )
@@ -47,17 +49,15 @@ def test_edge_F_contour_matches_direct_quadrature():
         g = BoundaryParam(float(np.exp(RNG.uniform(-2.5, 2.5))))
         S = float(RNG.uniform(-6, 6))
         T = float(RNG.uniform(0.15, 5.0))
-        geom = EdgeGeometry(S=S, T=T)
-        a = edge_F(geom, g)
-        b = edge_F_direct(geom, g)
+        a = edge_F_batch(S, T, g, REFINED)
+        b = edge_F_direct(S, T, g)
         assert sup_norm(a - b) < 1e-9 * max(1.0, sup_norm(a))
 
 
 def test_edge_F_independent_of_deformation_angle():
-    geom = EdgeGeometry(S=2.0, T=0.8)
     g = BoundaryParam(0.7)
     vals = [
-        edge_F(geom, g, ContourConfig(epsilon=e)) for e in (0.2, 0.35, 0.5)
+        edge_F_batch(2.0, 0.8, g, ContourConfig(epsilon=e)) for e in (0.2, 0.35, 0.5)
     ]
     assert sup_norm(vals[0] - vals[1]) < 1e-11
     assert sup_norm(vals[1] - vals[2]) < 1e-11
@@ -68,14 +68,14 @@ def test_edge_F_large_S_small_T():
     # the contour result must still satisfy the boundary-trace identity when
     # assembled into the half-plane kernel (checked below); here just check
     # convergence and the expected exponential smallness in r
-    geom = EdgeGeometry(S=40.0, T=0.01)
-    F = edge_F(geom, BoundaryParam(2.0))
+    S, T = 40.0, 0.01
+    F = edge_F_batch(S, T, BoundaryParam(2.0), REFINED)
     assert np.all(np.isfinite(F))
-    assert sup_norm(F) < np.exp(-0.9 * geom.r)
+    assert sup_norm(F) < np.exp(-0.9 * np.hypot(S, T))
 
 
 def test_edge_F_batch_matches_single():
-    # the single pass of the batch path against the refined scalar value,
+    # the single pass of the batch path against the refined value per point,
     # over separations up to 20, heights down to 1e-3 and gamma in e^[-2.5, 2.5]
     rng = np.random.default_rng(2024)
     for _ in range(6):
@@ -84,19 +84,19 @@ def test_edge_F_batch_matches_single():
         T = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), size=20))
         batch = edge_F_batch(S, T, g)
         for i in range(S.size):
-            single = edge_F(EdgeGeometry(S=float(S[i]), T=float(T[i])), g)
+            single = edge_F_batch(S[i], T[i], g, REFINED)
             assert sup_norm(batch[i] - single) <= 1e-11 * sup_norm(single)
 
 
 def test_edge_F_direct_rejects_small_T():
     with pytest.raises(ValueError):
-        edge_F_direct(EdgeGeometry(S=1.0, T=0.05), BoundaryParam(1.0))
+        edge_F_direct(1.0, 0.05, BoundaryParam(1.0))
 
 
 def test_quadrature_error_carries_iterates():
     cfg = ContourConfig(tol=1e-30, max_refinements=1)
     with pytest.raises(QuadratureError) as exc:
-        edge_F(EdgeGeometry(S=1.0, T=1.0), BoundaryParam(1.0), cfg)
+        edge_F_batch(1.0, 1.0, BoundaryParam(1.0), cfg)
     assert exc.value.last is not None
     assert exc.value.previous is not None
 
@@ -120,7 +120,7 @@ def test_halfplane_kernel_boundary_condition_exact():
     # trace on the boundary: row 2 = gamma * row 1 at x2 = 0
     for g in (0.3, 1.0, 4.0):
         for x1 in (-2.0, 0.0, 1.5):
-            K = halfplane_kernel(g, 1.3, (x1, 0.0), (0.4, 0.7))
+            K = halfplane_kernel_batch(g, 1.3, (x1, 0.0), (0.4, 0.7), REFINED)
             err = np.abs(K[1, :] - g * K[0, :])
             assert np.max(err) < 1e-10 * sup_norm(K)
 
@@ -131,8 +131,8 @@ def test_halfplane_kernel_scaling_identity():
     x = np.array([0.4, 0.9])
     xp = np.array([-1.2, 0.3])
     for lam in (0.5, 2.0, 7.0):
-        a = halfplane_kernel(g, lam, x, xp)
-        b = lam * halfplane_kernel(g, 1.0, lam * x, lam * xp)
+        a = halfplane_kernel_batch(g, lam, x, xp, REFINED)
+        b = lam * halfplane_kernel_batch(g, 1.0, lam * x, lam * xp, REFINED)
         assert sup_norm(a - b) < 1e-11 * sup_norm(a)
 
 
@@ -146,9 +146,12 @@ def test_halfplane_kernel_solves_pde():
     for x in (np.array([0.2, 1.1]), np.array([-0.7, 0.3]), np.array([2.0, 2.5])):
         e1 = np.array([h, 0.0])
         e2 = np.array([0.0, h])
-        d1 = (halfplane_kernel(g, lam, x + e1, xp) - halfplane_kernel(g, lam, x - e1, xp)) / (2 * h)
-        d2 = (halfplane_kernel(g, lam, x + e2, xp) - halfplane_kernel(g, lam, x - e2, xp)) / (2 * h)
-        K = halfplane_kernel(g, lam, x, xp)
+        def K_at(y):
+            return halfplane_kernel_batch(g, lam, y, xp, REFINED)
+
+        d1 = (K_at(x + e1) - K_at(x - e1)) / (2 * h)
+        d2 = (K_at(x + e2) - K_at(x - e2)) / (2 * h)
+        K = K_at(x)
         resid = np.empty((2, 2), dtype=complex)
         resid[0, :] = -1j * d1[1, :] - d2[1, :] - 1j * lam * K[0, :]
         resid[1, :] = -1j * d1[0, :] + d2[0, :] - 1j * lam * K[1, :]
@@ -161,7 +164,7 @@ def test_halfplane_kernel_far_from_boundary_is_bulk():
     g = BoundaryParam(0.8)
     x = np.array([0.0, 30.0])
     xp = np.array([1.0, 30.5])
-    K = halfplane_kernel(g, 1.0, x, xp)
+    K = halfplane_kernel_batch(g, 1.0, x, xp, REFINED)
     B = bulk_plane_kernel(1.0, x - xp)
     assert sup_norm(K - B) < 1e-12
 
@@ -172,7 +175,7 @@ def test_halfplane_kernel_batch_matches_single():
     Xp = np.column_stack([RNG.uniform(-2, 2, 8), RNG.uniform(0.2, 2, 8)])
     batch = halfplane_kernel_batch(g, 1.5, X, Xp)
     for i in range(8):
-        single = halfplane_kernel(g, 1.5, X[i], Xp[i])
+        single = halfplane_kernel_batch(g, 1.5, X[i], Xp[i], REFINED)
         assert sup_norm(batch[i] - single) < 1e-8
 
 
@@ -194,8 +197,8 @@ def test_halfplane_kernel_reflection_transpose_identity():
 
 
 def test_halfplane_kernel_rejects_bad_input():
-    # the scalar and the batch path raise the same exception type for each
-    # bad pair; in the batch the bad pair follows a good one
+    # a single (2,)-shaped pair and a 2-row batch raise the same exception
+    # type for each bad pair; in the batch the bad pair follows a good one
     cases = [
         (DiagonalKernelError, 1.0, (0.5, 0.5), (0.5, 0.5)),
         (ValueError, -1.0, (0.0, 1.0), (1.0, 1.0)),
@@ -209,7 +212,7 @@ def test_halfplane_kernel_rejects_bad_input():
         X = np.array([[0.3, 0.8], x])
         Xp = np.array([[1.0, 0.4], xp])
         for call in (
-            lambda: halfplane_kernel(1.0, lam, x, xp),
+            lambda: halfplane_kernel_batch(1.0, lam, x, xp, REFINED),
             lambda: halfplane_kernel_batch(1.0, lam, X, Xp),
         ):
             with pytest.raises(exc_type) as info:
@@ -224,7 +227,7 @@ def _decay_samples(gamma, lam, n=24):
     out = []
     for r in rs:
         xp = base + r * direction
-        out.append((xp, base, halfplane_kernel(gamma, lam, xp, base)))
+        out.append((xp, base, halfplane_kernel_batch(gamma, lam, xp, base, REFINED)))
     return out
 
 

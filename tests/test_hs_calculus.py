@@ -10,6 +10,7 @@ from dirac_edge.hs_calculus import (
     HsQuadrature,
     SchwartzFunction,
     _hs_sum,
+    _interp_rows,
     almost_analytic_eval,
     dbar_eval,
     edge_bulk_diagonal_gap,
@@ -213,6 +214,19 @@ def test_fiber_kernel_routes_agree():
     Ke = fiber_F_kernel(F, 1.0, 1.0, 0.0, 0.5, 1.0, grid=fib)
     Kh = fiber_F_kernel(F, 1.0, 1.0, 0.0, 0.5, 1.0, grid=fib, method="hs", N=4)
     assert np.max(np.abs(Kh - Ke)) < 1e-6
+
+
+def test_fiber_node_rows_match_eigensystem():
+    # fiber_F_kernel reads spinors at a position through _interp_rows; at
+    # every node t_j that row applied to the raw eigenvectors is the spinor
+    # eigensystem() interpolates to t_j, on the half line and the whole line
+    for fib in (discretize_fiber(0.7, 0.3, 1.0),
+                discretize_fiber(None, 0.3, 1.0, whole_line=True)):
+        _, V = fib.raw_eigensystem(-2.0, 2.0)
+        _, psi = fib.eigensystem(-2.0, 2.0)
+        assert V.shape[1] > 0
+        for j, t in enumerate(fib.grid):
+            assert np.allclose(_interp_rows(fib, t) @ V, psi[j], rtol=0.0, atol=1e-14)
 
 
 def test_fiber_kernel_gap_supported_function_vanishes():

@@ -9,7 +9,7 @@ from dirac_edge.core import (
     SpectralPoint,
     gauss_legendre_panels,
 )
-from dirac_edge.edge_kernel import edge_F_batch, halfplane_kernel, halfplane_kernel_batch
+from dirac_edge.edge_kernel import ContourConfig, edge_F_batch, halfplane_kernel_batch
 from dirac_edge import kernel_ops
 from dirac_edge.fiber import discretize_fiber
 from dirac_edge.kernel_ops import (
@@ -168,7 +168,8 @@ def test_resolvent_kernel_matches_pointwise():
     Y = np.abs(RNG.normal(size=(17, 2))) + 0.05
     out = K(X, Y)
     for i in range(X.shape[0]):
-        assert np.max(np.abs(out[i] - halfplane_kernel(1.0, 2.0, X[i], Y[i]))) < 1e-12
+        single = halfplane_kernel_batch(1.0, 2.0, X[i], Y[i], ContourConfig())
+        assert np.max(np.abs(out[i] - single)) < 1e-12
     # chunk-order bookkeeping: a permuted batch permutes the output
     p = RNG.permutation(17)
     assert np.max(np.abs(K(X[p], Y[p]) - out[p])) < 1e-12
@@ -365,7 +366,8 @@ def test_born_series_order_zero_and_refusals():
     x, xp = np.array([0.3, 0.8]), np.array([1.0, 0.4])
     W = PotentialField.constant(w3=0.2)
     (out,) = born_series(g, W, lam, 0, x, xp)
-    assert np.max(np.abs(out.value - halfplane_kernel(g, lam, x, xp))) < 1e-14
+    K = halfplane_kernel_batch(g, lam, x, xp, ContourConfig())
+    assert np.max(np.abs(out.value - K)) < 1e-14
     with pytest.raises(ValueError, match="order"):
         born_series(g, W, lam, 6, x, xp)
     with pytest.raises(ValueError, match="lam"):

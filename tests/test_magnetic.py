@@ -3,7 +3,8 @@ import pytest
 
 from dirac_edge import magnetic
 from dirac_edge.core import gauss_legendre_panels
-from dirac_edge.edge_kernel import fit_decay, halfplane_kernel, halfplane_kernel_batch
+from dirac_edge.edge_kernel import ContourConfig, fit_decay, halfplane_kernel_batch
+from dirac_edge.kernel_ops import PotentialField
 from dirac_edge.magnetic import (
     _mirror_angles,
     MagneticField,
@@ -20,6 +21,7 @@ from dirac_edge.magnetic import (
 )
 
 RNG = np.random.default_rng(1217)
+REFINED = ContourConfig()
 
 
 def test_magnetic_field_validation():
@@ -49,7 +51,7 @@ def test_transverse_gauge_residual_matches_a_t():
 
 def test_S_b_is_phase_dressed_kernel():
     x, xp = np.array([0.3, 1.0]), np.array([1.1, 0.4])
-    K = halfplane_kernel(1.0, 2.0, x, xp)
+    K = halfplane_kernel_batch(1.0, 2.0, x, xp, REFINED)
     S = S_b_kernel(0.8, None, 1.0, 2.0, x, xp)
     # dressing by a unit-modulus phase: entrywise moduli unchanged
     assert np.max(np.abs(np.abs(S) - np.abs(K))) < 1e-15
@@ -60,12 +62,39 @@ def test_T_b_entrywise_bound():
     # |T_b(x,x')| = (b/2)|x-x'| |K(x,x')| entrywise after the sigma row swap
     x, xp = np.array([0.3, 1.0]), np.array([1.1, 0.4])
     b = 0.8
-    K = halfplane_kernel(1.0, 2.0, x, xp)
+    K = halfplane_kernel_batch(1.0, 2.0, x, xp, REFINED)
     T = T_b_kernel(b, None, 1.0, 2.0, x, xp)
     d = np.linalg.norm(x - xp)
     assert np.max(np.abs(T) - (b / 2.0) * d * np.abs(K[::-1, :])) < 1e-14
     assert np.max(np.abs(T_b_kernel(b, None, 1.0, 2.0, x, x))) == 0.0
     assert np.max(np.abs(T_b_kernel(0.0, None, 1.0, 2.0, x, xp))) == 0.0
+
+
+def test_T_b_batch_is_zero_on_coincident_pairs():
+    # in a batch the pairs with x = x' give zero and the others their own
+    # value, up to the node rule the batch shares
+    X = np.array([[0.3, 1.0], [1.1, 0.4], [0.7, 0.2]])
+    xp = np.array([1.1, 0.4])
+    T = T_b_kernel(0.8, None, 1.0, 2.0, X, xp)
+    assert T.shape == (3, 2, 2)
+    assert np.max(np.abs(T[1])) == 0.0
+    for i in (0, 2):
+        single = T_b_kernel(0.8, None, 1.0, 2.0, X[i], xp)
+        assert np.max(np.abs(T[i] - single)) <= 1e-14 * np.max(np.abs(single))
+
+
+def test_magnetic_kernels_refuse_a_potential():
+    W = PotentialField.constant(w3=0.2)
+    x, xp = [0.3, 1.0], [1.1, 0.4]
+    for call in (S_b_kernel, T_b_kernel):
+        with pytest.raises(NotImplementedError):
+            call(0.8, W, 1.0, 2.0, x, xp)
+    with pytest.raises(NotImplementedError):
+        magnetic_resolvent(0.5, W, 1.0, 8.0, 0, x, xp)
+    # a zero potential is the same as none
+    zero = PotentialField.constant()
+    assert np.array_equal(S_b_kernel(0.8, zero, 1.0, 2.0, x, xp),
+                          S_b_kernel(0.8, None, 1.0, 2.0, x, xp))
 
 
 def test_schur_estimate_scaling():
@@ -78,8 +107,25 @@ def test_schur_estimate_scaling():
 
 def test_schur_estimate_input_handling():
     assert schur_norm_Tb(0.0, None, 1.0, 4.0) == 0.0
+    # b = 0 needs no lambda >= 1
+    assert magnetic._schur_estimates([(0.0, 0.5)], None, 1.0) == [0.0]
     with pytest.raises(ValueError):
         schur_norm_Tb(0.5, None, 1.0, 0.5)
+    # a negative or non-finite field, or a non-finite lambda, is refused
+    for b, lam in ((-0.5, 4.0), (np.nan, 4.0), (np.inf, 4.0), (0.5, np.nan),
+                   (0.5, np.inf), (0.0, np.nan)):
+        with pytest.raises(ValueError):
+            schur_norm_Tb(b, None, 1.0, lam)
+    with pytest.raises(ValueError):
+        select_lambda0(-3.0, None, 1.0, [1.0, 2.0])
+    # every magnetic entry point applies the same field check
+    x, xp = [0.3, 1.0], [1.1, 0.4]
+    for call in (S_b_kernel, T_b_kernel):
+        for b in (-0.5, np.nan):
+            with pytest.raises(ValueError, match="flux density"):
+                call(b, None, 1.0, 2.0, x, xp)
+    with pytest.raises(ValueError, match="flux density"):
+        magnetic_resolvent(-0.5, None, 1.0, 8.0, 0, x, xp)
 
 
 def test_schur_estimate_needs_even_angle_count():
@@ -205,6 +251,15 @@ def test_magnetic_resolvent_order0_is_S_b():
     val, tail = magnetic_resolvent(0.5, None, 1.0, 8.0, 0, x, xp)
     assert np.array_equal(val, S_b_kernel(0.5, None, 1.0, 8.0, x, xp))
     assert tail > 0.0
+    # a 5-point batch is one S_b call; each point agrees with its own
+    # refined value up to the shared node rule
+    X = x + 1e-3 * np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
+    vals, tail_X = magnetic_resolvent(0.5, None, 1.0, 8.0, 0, X, xp)
+    assert vals.shape == (5, 2, 2) and tail_X == tail
+    assert np.array_equal(vals, S_b_kernel(0.5, None, 1.0, 8.0, X, xp))
+    for i in range(5):
+        single = S_b_kernel(0.5, None, 1.0, 8.0, X[i], xp)
+        assert np.max(np.abs(vals[i] - single)) <= 1e-14 * np.max(np.abs(single))
 
 
 def test_magnetic_resolvent_series_refusal():
@@ -259,7 +314,7 @@ def test_magnetic_kernel_decay_shape():
     vals, _ = magnetic_resolvent(b, None, g, lam, 1, X, xp)
     fit_b = fit_decay([(x, xp, m) for x, m in zip(X, vals)], lam)
     fit_0 = fit_decay(
-        [(x, xp, halfplane_kernel(g, lam, x, xp)) for x in X], lam
+        [(x, xp, halfplane_kernel_batch(g, lam, x, xp, REFINED)) for x in X], lam
     )
     assert fit_b.c_hat > 0.0
     assert 0.1 < fit_b.C_hat / fit_0.C_hat < 10.0
