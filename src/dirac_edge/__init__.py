@@ -38,7 +38,6 @@ from .kernel_ops import (
     resolvent_kernel,
 )
 from .magnetic import (
-    MagneticField,
     S_b_kernel,
     T_b_kernel,
     dirac_stencil_2d,

@@ -14,8 +14,6 @@ with link (Peierls) phases realize the local gauge-transform identity and
 magnetic-translation covariance exactly at the matrix level.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -33,7 +31,6 @@ from .kernel_ops import (
 )
 
 __all__ = [
-    "MagneticField",
     "gauge_phase",
     "transverse_gauge",
     "transverse_gauge_residual",
@@ -45,23 +42,6 @@ __all__ = [
     "dirac_stencil_2d",
     "magnetic_translation_matrix",
 ]
-
-
-@dataclass(frozen=True)
-class MagneticField:
-    """Constant field b > 0 in the Landau gauge A(x) = b*(-x2, 0)."""
-
-    b: float
-
-    def __post_init__(self):
-        if not (self.b > 0.0 and np.isfinite(self.b)):
-            raise ValueError(f"flux density b must be positive, got {self.b}")
-
-    def a(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., 0] = -self.b * x[..., 1]
-        return out
 
 
 def gauge_phase(x, xprime):

@@ -20,12 +20,15 @@ REFINED = ContourConfig()
 
 def test_edge_geometry_validation():
     # the mirrored height T must be positive at every point of a batch, on
-    # the single pass and the refined path alike; the direct oracle needs
-    # T >= 0.1 and rejects a NaN height
+    # the single pass and the refined path alike, and no separation S may be
+    # NaN; the direct oracle needs T >= 0.1 and rejects a NaN height
     for T in (0.0, -1.0, np.nan, [1.0, 0.0]):
         for cfg in (None, REFINED):
             with pytest.raises(ValueError, match="positive"):
                 edge_F_batch(1.0, T, 1.0, cfg)
+    for cfg in (None, REFINED):
+        with pytest.raises(ValueError, match="NaN"):
+            edge_F_batch([1.0, np.nan], 1.0, 1.0, cfg)
     with pytest.raises(ValueError, match="T >= 0.1"):
         edge_F_direct(1.0, np.nan, 1.0)
 
@@ -72,6 +75,9 @@ def test_edge_F_large_S_small_T():
     F = edge_F_batch(S, T, BoundaryParam(2.0), REFINED)
     assert np.all(np.isfinite(F))
     assert sup_norm(F) < np.exp(-0.9 * np.hypot(S, T))
+    # past r ~ 750 the term underflows to exactly zero, out to S = inf
+    for cfg in (None, REFINED):
+        assert np.all(edge_F_batch([1e3, 1e300, np.inf], 0.5, 2.0, cfg) == 0.0)
 
 
 def test_edge_F_batch_matches_single():
@@ -85,7 +91,68 @@ def test_edge_F_batch_matches_single():
         batch = edge_F_batch(S, T, g)
         for i in range(S.size):
             single = edge_F_batch(S[i], T[i], g, REFINED)
-            assert sup_norm(batch[i] - single) <= 1e-11 * sup_norm(single)
+            assert sup_norm(batch[i] - single) <= 1e-13 * sup_norm(single)
+
+
+def test_edge_F_batch_matches_refined_at_large_r():
+    # the single pass over r up to 80 (the lam-scaled reach of the compose
+    # paths), angles within 5e-5 of +-pi/2 and both ends of the gamma range,
+    # in one batch with a point at small r: the exp(-r cosh) peak narrows
+    # like 1/sqrt(r), and the step must follow it
+    r = np.geomspace(0.03, 80.0, 12)
+    theta = np.array([-np.pi / 2 + 5e-5, -1.2, 0.0, 0.7, np.pi / 2 - 1e-3, np.pi / 2 - 5e-5])
+    S = np.append(np.outer(r, np.sin(theta)), [0.0, -50.0, 60.0])
+    T = np.append(np.outer(r, np.cos(theta)), [0.03, 40.0, 30.0])
+    for g in (np.exp(-2.5), 1.0, np.exp(2.5)):
+        batch = edge_F_batch(S, T, g)
+        refined = edge_F_batch(S, T, g, REFINED)
+        assert np.all(sup_norm(batch - refined) <= 1e-12 * sup_norm(refined))
+
+
+def test_contour_sum_rejects_angle_past_the_pole():
+    # for |theta| < pi/2 the denominator stays above sin(eps) on the contour;
+    # past pi/2 + eps the deformation has crossed the pole of c and the
+    # safety check must refuse, whatever the side of the pole the nodes fall
+    for eps in (0.05, 0.3, 1.0):
+        for g in (0.5, 1.0, 3.0):
+            theta = np.array([np.pi / 2 + 1.5 * eps])
+            with pytest.raises(FloatingPointError, match="safety bound"):
+                edge_kernel._contour_sum(g, np.array([1.0]), theta, eps, 0)
+    # right up to the boundary line the same check stays silent
+    theta = np.array([-np.pi / 2 + 1e-12, np.pi / 2 - 1e-12])
+    assert np.all(np.isfinite(edge_kernel._contour_sum(2.0, np.array([0.5, 0.5]), theta, 0.3, 0)))
+
+
+def test_small_epsilon_near_the_boundary_line(monkeypatch):
+    # at eps = 0.05 and theta -> pi/2 the analyticity strip is about 0.05
+    # wide, so the steps are fine: the single pass and the refined batch at
+    # eps = 0.05 still match the default contour, and every block holds at
+    # most _BLOCK point-nodes, also when it is shrunk below one point's nodes
+    theta = np.pi / 2 - np.array([5e-5, 1e-3, 0.05])
+    r = np.array([0.01, 0.5, 3.0, 20.0])
+    S = np.outer(r, np.sin(theta)).ravel()
+    T = np.outer(r, np.cos(theta)).ravel()
+    seen = []
+    blocks, default = edge_kernel._blocks, edge_kernel._BLOCK
+
+    def spy(*args):
+        for points, h, lo, hi in blocks(*args):
+            seen.append(points.size * (hi - lo))
+            yield points, h, lo, hi
+
+    monkeypatch.setattr(edge_kernel, "_blocks", spy)
+    for g in (np.exp(-2.5), 1.0, np.exp(2.5)):
+        monkeypatch.setattr(edge_kernel, "_BLOCK", default)
+        reference = edge_F_batch(S, T, g, REFINED)
+        single = edge_kernel._contour_sum(g, np.hypot(S, T), np.arctan2(S, T), 0.05, 0)
+        assert np.all(sup_norm(single - reference) <= 1e-12 * sup_norm(reference))
+        for block in (default, 1 << 10):
+            monkeypatch.setattr(edge_kernel, "_BLOCK", block)
+            seen.clear()
+            F = edge_F_batch(S, T, g, ContourConfig(epsilon=0.05))
+            assert max(seen) <= block
+            assert np.all(sup_norm(F - reference) <= 1e-12 * sup_norm(reference))
+        assert max(seen) == 1 << 10     # some point's nodes span several blocks
 
 
 def test_edge_F_direct_rejects_small_T():

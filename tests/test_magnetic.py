@@ -7,7 +7,6 @@ from dirac_edge.edge_kernel import ContourConfig, fit_decay, halfplane_kernel_ba
 from dirac_edge.kernel_ops import PotentialField
 from dirac_edge.magnetic import (
     _mirror_angles,
-    MagneticField,
     S_b_kernel,
     T_b_kernel,
     dirac_stencil_2d,
@@ -22,15 +21,6 @@ from dirac_edge.magnetic import (
 
 RNG = np.random.default_rng(1217)
 REFINED = ContourConfig()
-
-
-def test_magnetic_field_validation():
-    with pytest.raises(ValueError):
-        MagneticField(0.0)
-    with pytest.raises(ValueError):
-        MagneticField(-1.0)
-    fld = MagneticField(0.7)
-    assert np.allclose(fld.a([1.0, 2.0]), [-1.4, 0.0])
 
 
 def test_gauge_phase_values():
