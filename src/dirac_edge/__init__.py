@@ -13,6 +13,7 @@ from .core import (
 from .closed_form import (
     alpha,
     apply_fiber_resolvent,
+    beta_coeffs,
     bulk_plane_kernel,
     fiber_kernel,
     whole_line_kernel,
@@ -47,13 +48,13 @@ from .magnetic import (
     schur_norm_Tb,
     select_lambda0,
     transverse_gauge,
+    transverse_gauge_residual,
 )
 from .hs_calculus import (
     HsQuadrature,
     SchwartzFunction,
     almost_analytic_eval,
     dbar_eval,
-    edge_bulk_diagonal_gap,
     fiber_F_kernel,
     hs_apply_matrix,
 )
@@ -66,6 +67,7 @@ from .fiber import (
     combes_thomas_check,
     discretize_fiber,
     dispersion_curves,
+    edge_bulk_diagonal_gap,
     edge_conductance,
     edge_density_rho,
     gap_window,

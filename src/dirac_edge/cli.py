@@ -26,12 +26,13 @@ from .fiber import (
     combes_thomas_check,
     discretize_fiber,
     dispersion_curves,
+    edge_bulk_diagonal_gap,
     edge_conductance,
     edge_density_rho,
     gap_window,
     ids_derivative,
 )
-from .hs_calculus import SchwartzFunction, edge_bulk_diagonal_gap, fiber_F_kernel, hs_apply_matrix
+from .hs_calculus import SchwartzFunction, fiber_F_kernel, hs_apply_matrix
 from .kernel_ops import PotentialField, born_series
 from .magnetic import _schur_estimates, magnetic_resolvent, select_lambda0
 

@@ -35,6 +35,7 @@ __all__ = [
     "ids_derivative",
     "assembled_bulk_diagonal",
     "edge_density_rho",
+    "edge_bulk_diagonal_gap",
     "combes_thomas_check",
     "gap_window",
 ]
@@ -78,22 +79,18 @@ class FiberDiscretization:
         c[1::2] = self.grid[:-1] + self.h / 2.0
         return c
 
-    def eigenvalues(self, emin=None, emax=None):
-        if emin is None:
-            return scipy.linalg.eigh_tridiagonal(self.diag, self.off, eigvals_only=True)
+    def eigenvalues(self, emin, emax):
         return scipy.linalg.eigh_tridiagonal(
             self.diag, self.off, select="v", select_range=(emin, emax), eigvals_only=True
         )
 
-    def raw_eigensystem(self, emin=None, emax=None):
-        if emin is None:
-            return scipy.linalg.eigh_tridiagonal(self.diag, self.off)
+    def raw_eigensystem(self, emin, emax):
         return scipy.linalg.eigh_tridiagonal(
             self.diag, self.off, select="v", select_range=(emin, emax)
         )
 
-    def eigensystem(self, emin=None, emax=None):
-        """Eigenvalues and spinors interpolated to the psi1 node grid.
+    def eigensystem(self, emin, emax):
+        """Eigenvalues in [emin, emax] and spinors interpolated to the psi1 node grid.
 
         Returns (E, psi) with psi of shape (n_nodes, 2, n_eigs) in physical
         coordinates: the half-cell boundary metric is undone and the
@@ -113,6 +110,11 @@ class FiberDiscretization:
         return E, psi
 
 
+def _span(b):
+    """Orbit margin 6/sqrt(b): the domain a fiber keeps past its orbit centre -xi/b."""
+    return 6.0 / np.sqrt(b)
+
+
 def discretize_fiber(gamma, xi, b, h=None, T_dom=None, whole_line=False):
     """Build the discretized fiber operator at edge momentum xi.
 
@@ -124,7 +126,7 @@ def discretize_fiber(gamma, xi, b, h=None, T_dom=None, whole_line=False):
     if b <= 0:
         raise ValueError(f"flux density b must be positive, got {b}")
     xi = float(xi)
-    margin = 6.0 / np.sqrt(b)
+    margin = _span(b)
     center = -xi / b
     if whole_line:
         if T_dom is None:
@@ -185,7 +187,7 @@ class DispersionData:
 
 def _shared_T_dom(b, xi_values):
     """Half-line domain covering every orbit center -xi/b (one shared grid)."""
-    return max(np.max(-np.asarray(xi_values, dtype=float) / b), 0.0) + 6.0 / np.sqrt(b)
+    return max(np.max(-np.asarray(xi_values, dtype=float) / b), 0.0) + _span(b)
 
 
 def dispersion_curves(gamma, b, xi_grid, n_branches, h=None, overlap_min=0.9):
@@ -323,7 +325,7 @@ def edge_conductance(gamma, b, window, e, xi_range):
     return flow(e_up) - flow(e_low)
 
 
-def bulk_ids(b, window, h=None):
+def bulk_ids(b, window):
     """Integrated density of states of the bulk window projection.
 
     I_inf(b) = (1/2pi) * integral over xi of the diagonal of the spectral
@@ -333,7 +335,7 @@ def bulk_ids(b, window, h=None):
     reduction is exact up to the exponentially small domain truncation
     (verified directly by assembled_bulk_diagonal).
     """
-    fib = discretize_fiber(None, 0.0, b, h=h, whole_line=True)
+    fib = discretize_fiber(None, 0.0, b, whole_line=True)
     E = fib.eigenvalues(window.e2 - 2.0, window.e3 + 2.0)
     guard = 10.0 * fib.h**2 * max(1.0, b)
     if np.any((np.abs(E - window.e2) < guard) | (np.abs(E - window.e3) < guard)):
@@ -344,14 +346,13 @@ def bulk_ids(b, window, h=None):
     return b * count / (2.0 * np.pi)
 
 
-def ids_derivative(b, window, db=None, h=None):
-    """Central-difference derivative of bulk_ids in b (default db = b/100)."""
-    if db is None:
-        db = b / 100.0
-    return (bulk_ids(b + db, window, h=h) - bulk_ids(b - db, window, h=h)) / (2.0 * db)
+def ids_derivative(b, window):
+    """Central-difference derivative of bulk_ids in b, step b/100."""
+    db = b / 100.0
+    return (bulk_ids(b + db, window) - bulk_ids(b - db, window)) / (2.0 * db)
 
 
-def assembled_bulk_diagonal(b, window, x2_values, h=None, dxi=None):
+def assembled_bulk_diagonal(b, window, x2_values):
     """Diagonal of the bulk window projection assembled by xi-integration.
 
     Evaluates (1/2pi) int dxi tr P_xi(x2, x2) for the whole-line fiber.
@@ -359,11 +360,11 @@ def assembled_bulk_diagonal(b, window, x2_values, h=None, dxi=None):
     by -xi/b, so the density profile is solved once and the xi-integral is
     a trapezoid sum over translated copies; translation covariance makes
     the result constant in x2, which is what the caller checks.  The xi
-    spacing is snapped to a multiple of b*h so the translates stay aligned
-    with the grid.
+    spacing 0.05 sqrt(b) is snapped to a multiple of b*h so the translates
+    stay aligned with the grid.
     """
     x2_values = np.asarray(x2_values, dtype=float)
-    fib = discretize_fiber(None, 0.0, b, h=h, whole_line=True)
+    fib = discretize_fiber(None, 0.0, b, whole_line=True)
     E, psi = fib.eigensystem(emin=window.e2, emax=window.e3)
     if E.size == 0:
         return np.zeros(x2_values.size)
@@ -371,9 +372,7 @@ def assembled_bulk_diagonal(b, window, x2_values, h=None, dxi=None):
     # node interpolation of the staggered component loses O(h^2) mass;
     # restore the exact projection trace (= number of levels)
     dens *= E.size / np.trapezoid(dens, fib.grid)
-    if dxi is None:
-        dxi = 0.05 * np.sqrt(b)
-    step = fib.h * max(1, int(round(dxi / (b * fib.h))))   # translate distance
+    step = fib.h * max(1, int(round(0.05 * np.sqrt(b) / (b * fib.h))))   # translate distance
     glo, ghi = fib.grid[0], fib.grid[-1]
     acc = np.zeros(x2_values.size)
     for i, x2 in enumerate(x2_values):
@@ -383,63 +382,87 @@ def assembled_bulk_diagonal(b, window, x2_values, h=None, dxi=None):
     return b * step * acc / (2.0 * np.pi)
 
 
-def edge_density_rho(gamma, b, F, L, h=None, dxi=None, tail_tol=1e-4):
-    """Edge density (1/(2 pi L)) int dxi int_0^L tr F(fiber)(t,t) dt.
-
-    F is a vectorized callable on energies; the fiber functional calculus is
-    by eigendecomposition.  If F exposes a support_max attribute, only
-    eigenpairs with |E| <= support_max are computed.  The xi-range grows
-    as in _momentum_integral (tolerance tail_tol, floor 1), else
-    QuadratureError is raised.
-    """
-    L = float(L)
-    span = 6.0 / np.sqrt(b)
-    T_dom = L + 2 * span
-    emax = getattr(F, "support_max", None)
-
-    def integrand(xi):
-        # tail momenta push the orbit center beyond L; grow the domain with it
-        fib = discretize_fiber(gamma, xi, b, h=h, T_dom=max(T_dom, -xi / b + span))
-        if emax is None:
-            E, psi = fib.eigensystem()
-        else:
-            E, psi = fib.eigensystem(emin=-emax, emax=emax)
-        if E.size == 0:
-            return 0.0
-        vals = np.asarray(F(E))
-        n_in = int(round(L / fib.h)) + 1
-        dens = np.einsum("tse,e->t", np.abs(psi[:n_in]) ** 2, vals) / fib.h
-        w = np.full(n_in, fib.h)
-        w[0] = w[-1] = fib.h / 2.0
-        return float(w @ dens)
-
-    total, _ = _momentum_integral(integrand, b, L, dxi, tail_tol, 1.0, 6)
-    return total / (2.0 * np.pi * L)
+# _momentum_integral's xi step (in units of sqrt(b)), tail tolerance, most extensions
+_XI_STEP = 0.1
+_TAIL_TOL = 1e-4
+_MAX_EXTENSIONS = 6
 
 
-def _momentum_integral(integrand, b, depth, dxi, tail_tol, floor, max_extensions):
-    """Riemann sum, spacing dxi (default 0.1 sqrt(b)), of integrand over xi
-    in [-b (depth + span), b span] with span = 6/sqrt(b), grown by b span at
-    both ends, up to max_extensions times, until core._converge accepts the
-    running total (tolerance tail_tol, the given floor).  Returns (total, sup
-    of its last tail); raises QuadratureError otherwise."""
-    if dxi is None:
-        dxi = 0.1 * np.sqrt(b)
-    span = 6.0 / np.sqrt(b)
+def _diagonal_density(fib, F):
+    """tr F(H)(t_j, t_j) at the nodes t_j, over the eigenpairs with |E| <= F.support_max."""
+    E, psi = fib.eigensystem(-F.support_max, F.support_max)
+    return np.einsum("tse,e->t", np.abs(psi) ** 2, np.asarray(F(E))) / fib.h
+
+
+def _momentum_integral(integrand, gamma, b, depth, floor):
+    """Riemann sum over xi in [-b (depth + span), b span], span = 6/sqrt(b), of
+    integrand(half-line fiber at xi), its domain two spans past depth and one
+    past the orbit centre -xi/b; the range grows by b span at both ends until
+    core._converge accepts the total (the given floor), else QuadratureError."""
+    dxi = _XI_STEP * np.sqrt(b)
+    span = _span(b)
+
+    def part(xis):
+        fibs = (discretize_fiber(gamma, x, b, T_dom=max(depth + 2 * span, -x / b + span))
+                for x in xis)
+        return np.sum([integrand(fib) for fib in fibs], axis=0)
 
     def totals(lo, hi, step):
-        total = np.sum([integrand(x) for x in np.arange(lo, hi + dxi / 2, dxi)], axis=0) * dxi
+        total = part(np.arange(lo, hi + dxi / 2, dxi)) * dxi
         yield total
-        for _ in range(max_extensions):
-            new_lo = np.arange(lo - step, lo, dxi)
-            new_hi = np.arange(hi + dxi, hi + step + dxi / 2, dxi)
-            total = total + (np.sum([integrand(x) for x in new_lo], axis=0)
-                             + np.sum([integrand(x) for x in new_hi], axis=0)) * dxi
+        for _ in range(_MAX_EXTENSIONS):
+            total = total + (part(np.arange(lo - step, lo, dxi))
+                             + part(np.arange(hi + dxi, hi + step + dxi / 2, dxi))) * dxi
             yield total
             lo, hi = lo - step, hi + step + dxi
 
-    return _converge(totals(-b * (depth + span), b * span, b * span), tail_tol, floor,
+    return _converge(totals(-b * (depth + span), b * span, b * span), _TAIL_TOL, floor,
                      "xi-integration tail")
+
+
+def edge_density_rho(gamma, b, F, L):
+    """Edge density (1/(2 pi L)) int dxi int_0^L tr F(fiber)(t,t) dt.
+
+    F is a vectorized callable on energies with a support_max attribute
+    bounding |E| on its support (a hs_calculus.SchwartzFunction has one);
+    only eigenpairs with |E| <= support_max enter.  The t-integral ends at L
+    on any grid step; the xi-integral is _momentum_integral's (floor 1).
+    """
+    L = float(L)
+
+    def integrand(fib):
+        # trapezoid rule on the nodes up to t_m <= L, then the linear
+        # interpolant of t_m and t_(m+1) integrated over [t_m, L]
+        m = int(L / fib.h)
+        s = L / fib.h - m
+        w = np.full(m + 2, fib.h)
+        w[0] = fib.h / 2.0
+        w[m], w[m + 1] = fib.h * (0.5 + s - s * s / 2.0), fib.h * s * s / 2.0
+        return float(w @ _diagonal_density(fib, F)[: m + 2])
+
+    total, _ = _momentum_integral(integrand, gamma, b, L, 1.0)
+    return total / (2.0 * np.pi * L)
+
+
+def edge_bulk_diagonal_gap(F, gamma, b, x2_grid):
+    """Difference of edge and bulk diagonals of F(D_b) at x = (x1, x2).
+
+    Both diagonals are (1/2pi) int tr F(fiber_xi)(x2, x2) dxi with the
+    half-line and whole-line fibers respectively (F as in edge_density_rho;
+    xi-integral of _momentum_integral, floor 1e-6); the difference decays
+    faster than any power of x2 when F' is supported in bulk spectral gaps.
+    """
+    x2_grid = np.asarray(x2_grid, dtype=float)
+    xmax = float(np.max(x2_grid))
+
+    def integrand(fib_e):
+        T_bulk = 2 * (abs(fib_e.xi / b) + xmax + _span(b))
+        fib_b = discretize_fiber(None, fib_e.xi, b, T_dom=T_bulk, whole_line=True)
+        return (np.interp(x2_grid, fib_e.grid, _diagonal_density(fib_e, F))
+                - np.interp(x2_grid, fib_b.grid, _diagonal_density(fib_b, F)))
+
+    total, _ = _momentum_integral(integrand, gamma, b, xmax, 1e-6)
+    return total / (2.0 * np.pi)
 
 
 def combes_thomas_check(H, z, C1, x0):

@@ -3,8 +3,8 @@
 F(H) is assembled as -(1/pi) * int dbar F_N(u,v) (H - (u+iv))^{-1} du dv,
 where F_N is the almost-analytic extension of a real Schwartz-class
 function F to order N.  The same machinery evaluates F on discretized
-fiber operators (kernel route) and the edge-bulk diagonal comparison
-assembled by momentum integration.
+fiber operators (fiber_F_kernel, checked against their eigendecomposition);
+the momentum-integrated fiber diagonals are in fiber.
 """
 
 from dataclasses import dataclass, replace
@@ -16,7 +16,7 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial.hermite_e import HermiteE
 
 from .core import _converge, gauss_legendre_panels
-from .fiber import _momentum_integral, discretize_fiber
+from .fiber import discretize_fiber
 
 __all__ = [
     "SchwartzFunction",
@@ -25,7 +25,6 @@ __all__ = [
     "dbar_eval",
     "hs_apply_matrix",
     "fiber_F_kernel",
-    "edge_bulk_diagonal_gap",
 ]
 
 
@@ -318,33 +317,3 @@ def fiber_F_kernel(F, gamma, b, xi, t, tprime, grid=None, method="eig", N=4,
         raise ValueError(f"unknown method {method!r}")
     return (row @ M_col) / fib.h
 
-
-def edge_bulk_diagonal_gap(F, gamma, b, x2_grid, h=None, dxi=None,
-                           tail_tol=1e-4, max_extensions=6):
-    """Difference of edge and bulk diagonals of F(D_b) at x = (x1, x2).
-
-    Both diagonals are (1/2pi) int tr F(fiber_xi)(x2, x2) dxi with the
-    half-line and whole-line fibers respectively; the difference decays
-    faster than any power of x2 when F' is supported in bulk spectral gaps.
-    """
-    x2_grid = np.asarray(x2_grid, dtype=float)
-    span = 6.0 / np.sqrt(b)
-    xmax = float(np.max(x2_grid))
-    emax = F.support_max
-
-    def density(fib):
-        E, psi = fib.eigensystem(emin=-emax, emax=emax)
-        if E.size == 0:
-            return np.zeros(x2_grid.size)
-        dens = np.einsum("tse,e->t", np.abs(psi) ** 2, np.asarray(F(E))) / fib.h
-        return np.interp(x2_grid, fib.grid, dens)
-
-    def integrand(xi):
-        T_edge = max(xmax + 2 * span, -xi / b + span)
-        fib_e = discretize_fiber(gamma, xi, b, h=h, T_dom=T_edge)
-        T_bulk = 2 * (abs(xi / b) + xmax + span)
-        fib_b = discretize_fiber(None, xi, b, h=h, T_dom=T_bulk, whole_line=True)
-        return density(fib_e) - density(fib_b)
-
-    total, _ = _momentum_integral(integrand, b, xmax, dxi, tail_tol, 1e-6, max_extensions)
-    return total / (2.0 * np.pi)

@@ -143,25 +143,31 @@ def T_b_kernel(b, W, gamma, lam, x, xprime):
     return out
 
 
-def _schur_constant(gamma, n_angular=24, tol=1e-3, max_extensions=8):
+# the Schur ring integrals: angles (even, see _schur_constant), tolerance, most shells
+_SCHUR_ANGLES = 24
+_SCHUR_TOL = 1e-3
+_SCHUR_MAX_EXTENSIONS = 8
+
+
+def _schur_constant(gamma):
     """C(gamma) = schur_norm_Tb at b = lam = 1: sup over probe points x of
     the larger of the row and column integrals of r/2 |K_1| around x.
 
     The probes sit at x1 = 0, so the column norm |K(y, x)| = |K(x, P1 y)|
     (P1: y1 -> -y1, see edge_kernel) is the row norm at the mirror angle
-    pi - phi; the angle set phi_a = (a + 1/2) 2 pi / n_angular is closed
-    under it for even n_angular, and only the row kernel is evaluated.
+    pi - phi; the angle set phi_a = (a + 1/2) 2 pi / n with n = _SCHUR_ANGLES
+    is closed under it as n is even, and only the row kernel is evaluated.
     Each integral is summed over shells of width 6 until core._converge
-    accepts the running total (tolerance tol, floor 1e-300).
+    accepts the running total (tolerance _SCHUR_TOL, floor 1e-300).
     """
     probes = np.array([[0.0, t] for t in (0.05, 0.2, 0.5, 1.0, 2.0, 4.0)])
-    phis = (np.arange(n_angular) + 0.5) * (2 * np.pi / n_angular)
+    phis = (np.arange(_SCHUR_ANGLES) + 0.5) * (2 * np.pi / _SCHUR_ANGLES)
     dirs = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-    mirror = _mirror_angles(n_angular)
+    mirror = _mirror_angles(_SCHUR_ANGLES)
 
     def totals(x):
         total, r_lo, r_hi = 0.0, 0.0, 6.0
-        for _ in range(max_extensions):
+        for _ in range(_SCHUR_MAX_EXTENSIONS):
             nodes, wts = gauss_legendre_panels(np.linspace(r_lo, r_hi, 7), 8)
             pts = x + nodes[:, None, None] * dirs
             ok = pts[..., 1] > 1e-9
@@ -170,11 +176,12 @@ def _schur_constant(gamma, n_angular=24, tol=1e-3, max_extensions=8):
             env[ok] = np.linalg.norm(K, ord=2, axis=(1, 2))
             env = np.maximum(env, env[:, mirror])
             r = nodes[:, None]
-            total += np.sum(wts[:, None] * (r / 2.0) * env * r) * (2 * np.pi / n_angular)
+            total += np.sum(wts[:, None] * (r / 2.0) * env * r) * (2 * np.pi / _SCHUR_ANGLES)
             yield total
             r_lo, r_hi = r_hi, r_hi + 6.0
 
-    return max(_converge(totals(x), tol, 1e-300, "Schur integral tail")[0] for x in probes)
+    return max(_converge(totals(x), _SCHUR_TOL, 1e-300, "Schur integral tail")[0]
+               for x in probes)
 
 
 def _mirror_angles(n_angular):
@@ -195,29 +202,26 @@ def _schur_scale(b, W, lam):
     return b / lam**2
 
 
-def _schur_estimates(pairs, W, gamma, **ring):
+def _schur_estimates(pairs, W, gamma):
     """schur_norm_Tb at each (b, lam) of pairs, every pair checked, from one
-    C(gamma) (none when every b is 0); ring: keywords of _schur_constant."""
+    C(gamma) (none when every b is 0)."""
     scales = [_schur_scale(b, W, lam) for b, lam in pairs]
-    C = _schur_constant(gamma, **ring) if any(scales) else 0.0
+    C = _schur_constant(gamma) if any(scales) else 0.0
     return [scale * C for scale in scales]
 
 
-def schur_norm_Tb(b, W, gamma, lam, n_angular=24, tol=1e-3, max_extensions=8):
+def schur_norm_Tb(b, W, gamma, lam):
     """Schur-test estimate of ||T_b(i lam)||: sup over probe points of the
     larger of the row and column integrals of the entrywise operator norm.
 
     The probes, the shells (width 6/lam) and the kernel all scale with
     1/lam (K_lam(x, y) = lam K_1(lam x, lam y)) and the stop rule is
     relative, so the estimate is exactly (b / lam^2) C(gamma), with C the
-    integral at b = lam = 1 (see _schur_constant; n_angular must be even
-    and positive).  Only W = 0 is supported (the Neumann assembly is run at
-    W = 0; with a potential the bound follows from the same kernel envelope).
+    integral at b = lam = 1 (see _schur_constant).  Only W = 0 is supported
+    (the Neumann assembly is run at W = 0; with a potential the bound
+    follows from the same kernel envelope).
     """
-    if not (n_angular > 0 and n_angular % 2 == 0):
-        raise ValueError(f"n_angular must be even and positive, got {n_angular}")
-    return _schur_estimates([(b, lam)], W, gamma, n_angular=n_angular, tol=tol,
-                            max_extensions=max_extensions)[0]
+    return _schur_estimates([(b, lam)], W, gamma)[0]
 
 
 def select_lambda0(b, W, gamma, lams):

@@ -23,6 +23,7 @@ from dirac_edge.edge_kernel import (
 )
 from dirac_edge.fiber import (
     discretize_fiber,
+    edge_bulk_diagonal_gap,
     edge_conductance,
     edge_density_rho,
     gap_window,
@@ -31,11 +32,7 @@ from dirac_edge.fiber import (
     ids_derivative,
     landau_levels,
 )
-from dirac_edge.hs_calculus import (
-    SchwartzFunction,
-    edge_bulk_diagonal_gap,
-    hs_apply_matrix,
-)
+from dirac_edge.hs_calculus import SchwartzFunction, hs_apply_matrix
 from dirac_edge.kernel_ops import PotentialField, born_series
 from dirac_edge.magnetic import magnetic_resolvent, schur_norm_Tb
 

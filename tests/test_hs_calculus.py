@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from dirac_edge.core import QuadratureError, gauss_legendre_panels
-from dirac_edge.fiber import discretize_fiber
+from dirac_edge.fiber import discretize_fiber, edge_bulk_diagonal_gap
 from dirac_edge.hs_calculus import (
     HsQuadrature,
     SchwartzFunction,
@@ -13,7 +13,6 @@ from dirac_edge.hs_calculus import (
     _interp_rows,
     almost_analytic_eval,
     dbar_eval,
-    edge_bulk_diagonal_gap,
     fiber_F_kernel,
     hs_apply_matrix,
 )

@@ -118,13 +118,6 @@ def test_schur_estimate_input_handling():
         magnetic_resolvent(-0.5, None, 1.0, 8.0, 0, x, xp)
 
 
-def test_schur_estimate_needs_even_angle_count():
-    # the column norms are read off the row norms at the mirror angles
-    for n_angular in (23, 1, 0, -4):
-        with pytest.raises(ValueError, match="n_angular"):
-            schur_norm_Tb(0.5, None, 1.0, 4.0, n_angular=n_angular)
-
-
 def _shell_norms(gamma, lam, x, r_lo, n_angular=24):
     """Row and column norms |K(x, y)| and |K(y, x)|, each (nodes, angles), on
     the shell r_lo <= |y - x| <= r_lo + 6/lam of the Schur estimate (0 where
