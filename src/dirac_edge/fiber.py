@@ -190,11 +190,15 @@ def _shared_T_dom(b, xi_values):
     return max(np.max(-np.asarray(xi_values, dtype=float) / b), 0.0) + _span(b)
 
 
-def dispersion_curves(gamma, b, xi_grid, n_branches, h=None, overlap_min=0.9):
+# least eigenvector overlap that continues a dispersion branch
+_OVERLAP_MIN = 0.9
+
+
+def dispersion_curves(gamma, b, xi_grid, n_branches):
     """Fiber eigenvalue branches E_n(xi), matched by eigenvector overlap.
 
     Branch identities follow the eigenvectors between neighboring xi values;
-    an overlap below overlap_min raises with diagnostics.  Branches cover the
+    an overlap below _OVERLAP_MIN raises with diagnostics.  Branches cover the
     energy window of the first n_branches Landau levels on both sides.
     """
     xi_grid = np.asarray(xi_grid, dtype=float)
@@ -203,7 +207,7 @@ def dispersion_curves(gamma, b, xi_grid, n_branches, h=None, overlap_min=0.9):
     tracks = []                  # dicts: start index, values list, last vector
     active = []
     for k, xi in enumerate(xi_grid):
-        fib = discretize_fiber(gamma, xi, b, h=h, T_dom=T_dom)
+        fib = discretize_fiber(gamma, xi, b, T_dom=T_dom)
         E, V = fib.raw_eigensystem(-emax, emax)
         if k == 0 or not active:
             for j in range(E.size):
@@ -217,7 +221,7 @@ def dispersion_curves(gamma, b, xi_grid, n_branches, h=None, overlap_min=0.9):
             order_rc = np.dstack(np.unravel_index(np.argsort(-ov, axis=None), ov.shape))[0]
             matched = np.full(len(active), False)
             for trow, j in order_rc:
-                if matched[trow] or taken[j] or ov[trow, j] < overlap_min:
+                if matched[trow] or taken[j] or ov[trow, j] < _OVERLAP_MIN:
                     continue
                 matched[trow] = True
                 taken[j] = True
@@ -228,7 +232,7 @@ def dispersion_curves(gamma, b, xi_grid, n_branches, h=None, overlap_min=0.9):
             # unmatched subspace is large even if no single vector dominates
             for trow in np.where(~matched)[0]:
                 free = np.where(~taken)[0]
-                if free.size and np.sqrt(np.sum(ov[trow] ** 2)) >= overlap_min:
+                if free.size and np.sqrt(np.sum(ov[trow] ** 2)) >= _OVERLAP_MIN:
                     j = free[int(np.argmax(ov[trow, free]))]
                     matched[trow] = True
                     taken[j] = True
@@ -242,7 +246,7 @@ def dispersion_curves(gamma, b, xi_grid, n_branches, h=None, overlap_min=0.9):
                     raise RuntimeError(
                         f"branch matching failed at xi={xi:.4f} (branch at E="
                         f"{last:.4f}): best overlap {best:.3f} (threshold "
-                        f"{overlap_min}); refine the xi grid"
+                        f"{_OVERLAP_MIN}); refine the xi grid"
                     )
             for j in np.where(~taken)[0]:
                 tracks.append({"start": k, "values": [E[j]], "vec": V[:, j]})

@@ -14,7 +14,6 @@ from scipy.special import k1
 
 from .core import (
     PAULI,
-    SIGMA_1,
     BoundaryParam,
     QuadratureError,
     _converge,
@@ -373,7 +372,8 @@ def _kernel_triples(gamma, lam, Y, h):
     table[upper] = halfplane_kernel_batch(gamma, lam, Y[p[upper]], Y[q[upper]])
     rho = h / np.sqrt(np.pi)
     diag_w = (1j / lam) * (1.0 - lam * rho * k1(lam * rho))
-    edge = lam * edge_F_batch(np.zeros(n2), 2.0 * lam * Y[:n2, 1], gamma) @ SIGMA_1 / (4.0 * np.pi)
+    F = edge_F_batch(np.zeros(n2), 2.0 * lam * Y[:n2, 1], gamma)
+    edge = lam * F[..., ::-1] / (4.0 * np.pi)          # F sigma_1: columns swapped
     table[diag] = edge + (diag_w / h**2) * np.eye(2)
     j, l = np.tril_indices(n2, -1)
     table[:, j, l] = np.swapaxes(table[:, l, j], -1, -2)

@@ -173,7 +173,7 @@ def _schur_constant(gamma):
             ok = pts[..., 1] > 1e-9
             env = np.zeros(ok.shape)
             K = halfplane_kernel_batch(gamma, 1.0, np.broadcast_to(x, pts[ok].shape), pts[ok])
-            env[ok] = np.linalg.norm(K, ord=2, axis=(1, 2))
+            env[ok] = _norm_2x2(K)
             env = np.maximum(env, env[:, mirror])
             r = nodes[:, None]
             total += np.sum(wts[:, None] * (r / 2.0) * env * r) * (2 * np.pi / _SCHUR_ANGLES)
@@ -182,6 +182,20 @@ def _schur_constant(gamma):
 
     return max(_converge(totals(x), _SCHUR_TOL, 1e-300, "Schur integral tail")[0]
                for x in probes)
+
+
+def _norm_2x2(M):
+    """Operator 2-norm of each 2x2 block of M (..., 2, 2) in closed form.
+
+    With rows a, b of M, ||M||^2 is the larger eigenvalue of M M^*,
+    (p + q)/2 + hypot((p - q)/2, |<a, b>|) with p = |a|^2, q = |b|^2.  This
+    equals (|M|_F^2 + sqrt(|M|_F^4 - 4 |det M|^2)) / 2, but without that
+    form's cancellation when the two singular values are close.
+    """
+    sq = M.real**2 + M.imag**2
+    p, q = sq[..., 0, :].sum(axis=-1), sq[..., 1, :].sum(axis=-1)
+    ab = np.sum(M[..., 0, :] * M[..., 1, :].conj(), axis=-1)
+    return np.sqrt((p + q) / 2 + np.hypot((p - q) / 2, np.abs(ab)))
 
 
 def _mirror_angles(n_angular):

@@ -109,6 +109,50 @@ def test_edge_F_batch_matches_refined_at_large_r():
         assert np.all(sup_norm(batch - refined) <= 1e-12 * sup_norm(refined))
 
 
+def test_edge_F_single_pass_at_large_r():
+    # r about 200, off the boundary line: the undeformed contour carries a
+    # real exponent -r cosh(x) and no cancellation, so the single pass stays
+    # at rounding level (the contour shifted by eps = 0.3 lost 3.8e-11 here)
+    S, T = np.array([150.0, -120.0]), np.array([130.0, 160.0])
+    single = edge_F_batch(S, T, 1.0)
+    refined = edge_F_batch(S, T, 1.0, REFINED)
+    assert np.all(sup_norm(single - refined) <= 1e-13 * sup_norm(refined))
+
+
+def test_undeformed_contour_matches_shifted_contours():
+    # Cauchy: for theta <= pi/2 - eps the undeformed-contour sum equals the
+    # trapezoid sum on contours shifted down by 0.05 and by 0.3
+    rng = np.random.default_rng(77)
+    eps = REFINED.epsilon
+    for _ in range(4):
+        g = float(np.exp(rng.uniform(-2.5, 2.5)))
+        S = rng.uniform(-20, 20, size=60)
+        T = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), size=60))
+        r, theta = np.hypot(S, T), np.arctan2(S, T)
+        keep = theta <= np.pi / 2 - eps
+        r, theta = r[keep], theta[keep]
+        undeformed = edge_kernel._contour_sum(g, r, theta, eps, 0)
+        assert np.array_equal(undeformed, edge_kernel._trapezoid(g, r, theta, 0.0, eps, 0))
+        for shift in (0.05, 0.3):
+            shifted = edge_kernel._trapezoid(g, r, theta, shift, shift, 0)
+            assert np.all(sup_norm(undeformed - shifted) <= 1e-13 * sup_norm(undeformed))
+
+
+def test_contour_switch_is_continuous():
+    # at theta = pi/2 - eps -+ 1e-9 the points fall on either side of the
+    # switch between the two contours; on each side the chosen contour
+    # agrees with the other one at the same point
+    eps = REFINED.epsilon
+    r = np.geomspace(0.01, 20.0, 8)
+    for side, own, other in ((-1e-9, 0.0, eps), (1e-9, eps, 0.0)):
+        theta = np.full(r.size, np.pi / 2 - eps + side)
+        for g in (np.exp(-2.5), 1.0, np.exp(2.5)):
+            F = edge_kernel._contour_sum(g, r, theta, eps, 0)
+            assert np.array_equal(F, edge_kernel._trapezoid(g, r, theta, own, eps, 0))
+            across = edge_kernel._trapezoid(g, r, theta, other, eps / 2, 0)
+            assert np.all(sup_norm(F - across) <= 1e-13 * sup_norm(F))
+
+
 def test_contour_sum_rejects_angle_past_the_pole():
     # for |theta| < pi/2 the denominator stays above sin(eps) on the contour;
     # past pi/2 + eps the deformation has crossed the pole of c and the

@@ -265,13 +265,10 @@ def test_edge_density_converges_to_bulk_ids():
     I = bulk_ids(1.0, w)
     errs = [abs(edge_density_rho(1.0, 1.0, F, L) - I) for L in (4.0, 8.0, 16.0)]
     assert errs[0] > errs[1] > errs[2]
-    # boundary-layer contribution is O(1): L * |rho_L - I| stays bounded
-    scaled = [L * e for L, e in zip((4.0, 8.0, 16.0), errs)]
-    c_hat = max(scaled)
-    for L, e in zip((4.0, 8.0, 16.0), errs):
-        assert e <= c_hat / L * (1 + 1e-9)
-    # with the t-integral ending at L on every fiber's grid, the boundary
+    # boundary-layer contribution is O(1): L * |rho_L - I| stays bounded.
+    # With the t-integral ending at L on every fiber's grid, the boundary
     # layer is the same at every L: L * |rho_L - I| agrees within 5%
+    scaled = [L * e for L, e in zip((4.0, 8.0, 16.0), errs)]
     assert max(scaled) / min(scaled) - 1.0 < 0.05
 
 

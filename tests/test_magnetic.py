@@ -7,6 +7,7 @@ from dirac_edge.edge_kernel import ContourConfig, fit_decay, halfplane_kernel_ba
 from dirac_edge.kernel_ops import PotentialField
 from dirac_edge.magnetic import (
     _mirror_angles,
+    _norm_2x2,
     S_b_kernel,
     T_b_kernel,
     dirac_stencil_2d,
@@ -141,6 +142,23 @@ def test_schur_mirror_angles_give_column_norms():
     assert np.any(row == 0.0)
     assert np.max(np.abs(row[:, _mirror_angles(24)] - col)) <= 1e-13 * np.max(col)
     assert np.max(np.abs(row - col)) > 1e-3 * np.max(col)   # the pairing matters
+
+
+def test_closed_form_2x2_norm_matches_svd():
+    # the closed-form operator norm of the Schur envelope against the SVD
+    # norm: seeded random blocks, zero, rank-1 and scaled unitary blocks
+    # (two equal singular values, where |M|_F^4 - 4 |det M|^2 cancels)
+    rng = np.random.default_rng(5)
+    n = 2000
+    M = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    u = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    Q, _ = np.linalg.qr(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+    scale = np.exp(rng.uniform(-20, 20, size=(n, 1, 1)))
+    for batch in (M, u[:, :, None] * v[:, None, :].conj(), scale * Q):
+        svd = np.linalg.norm(batch, ord=2, axis=(1, 2))
+        assert np.max(np.abs(_norm_2x2(batch) - svd) / svd) <= 1e-14
+    assert np.array_equal(_norm_2x2(np.zeros((3, 2, 2), dtype=complex)), np.zeros(3))
 
 
 def _schur_by_rows_and_columns(b, gamma, lam, tol=1e-3):
