@@ -275,11 +275,12 @@ def _exp_bulk_edge(cfg):
                 cond = edge_conductance(g, b, w, 0.5 * (w.e3 + w.e4), xi_range)
                 tpi = 2.0 * np.pi * ids_derivative(b, w)
                 rows.append([b, g, int(nb), int(na), cond, tpi, abs(tpi - round(tpi))])
-    for L in Ls:
+    if Ls:
         b, g = bs[0], gs[0]
         w = gap_window(b, *map(int, gaps[0]))
         F = SchwartzFunction.plateau(w.e1, w.e2, w.e3, w.e4)
-        meta["rho_L"][str(L)] = float(edge_density_rho(g, b, F, float(L)))
+        rho = edge_density_rho(g, b, F, [float(L) for L in Ls])   # one sweep for every L
+        meta["rho_L"] = {str(L): float(r) for L, r in zip(Ls, rho)}
     head = ["b", "gamma", "n_below", "n_above", "conductance",
             "two_pi_ids_derivative", "integer_distance"]
     return head, rows, meta

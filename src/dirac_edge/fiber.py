@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core import BoundaryParam, _converge
+from .core import BoundaryParam, QuadratureError, _converge
 
 __all__ = [
     "FiberDiscretization",
@@ -110,6 +110,14 @@ class FiberDiscretization:
         return E, psi
 
 
+def _flux(b):
+    """The flux density b as a float, checked positive."""
+    b = float(b)
+    if b <= 0:
+        raise ValueError(f"flux density b must be positive, got {b}")
+    return b
+
+
 def _span(b):
     """Orbit margin 6/sqrt(b): the domain a fiber keeps past its orbit centre -xi/b."""
     return 6.0 / np.sqrt(b)
@@ -122,9 +130,7 @@ def discretize_fiber(gamma, xi, b, h=None, T_dom=None, whole_line=False):
     covering the orbit center -xi/b with margin 6/sqrt(b); h defaults to
     the coarsest step satisfying b*T_dom*h < 0.1.
     """
-    b = float(b)
-    if b <= 0:
-        raise ValueError(f"flux density b must be positive, got {b}")
+    b = _flux(b)
     xi = float(xi)
     margin = _span(b)
     center = -xi / b
@@ -148,6 +154,18 @@ def discretize_fiber(gamma, xi, b, h=None, T_dom=None, whole_line=False):
         raise ValueError(
             f"grid too coarse: b*T_dom*h = {b * T_dom * h:.3f} >= 0.1; decrease h"
         )
+    g = None if whole_line else _gamma_value(gamma)
+    return _assemble(g, xi, b, h, T_dom, t0)
+
+
+def _gamma_value(gamma):
+    """The checked boundary coupling as a float (gamma may be a BoundaryParam)."""
+    return gamma.gamma if isinstance(gamma, BoundaryParam) else BoundaryParam(gamma).gamma
+
+
+def _assemble(g, xi, b, h, T_dom, t0=0.0):
+    """Staggered tridiagonal fiber on nodes t0 + j h spanning T_dom, taken as
+    given: g is the checked boundary coupling (None = whole line, no boundary)."""
     n = int(round(T_dom / h)) + 1          # psi1 nodes
     t = t0 + h * np.arange(n)
     m_mid = xi + b * (t[:-1] + h / 2.0)    # mass at the n-1 midpoints
@@ -158,10 +176,9 @@ def discretize_fiber(gamma, xi, b, h=None, T_dom=None, whole_line=False):
     off[0::2] = 0.5 * m_mid - c            # psi1_j ~ psi2_{j+1/2}
     off[1::2] = 0.5 * m_mid + c            # psi2_{j+1/2} ~ psi1_{j+1}
 
-    if whole_line:
+    if g is None:
         return FiberDiscretization(h, T_dom, None, xi, b, diag, off, t)
 
-    g = gamma.gamma if isinstance(gamma, BoundaryParam) else BoundaryParam(gamma).gamma
     # boundary node: ghost midpoint at -h/2 eliminated via
     # (psi2(-h/2)+psi2(h/2))/2 = gamma*psi1(0); the node carries a half-cell
     # metric weight, normalized here by scaling DOF 0 with sqrt(2)
@@ -390,6 +407,8 @@ def assembled_bulk_diagonal(b, window, x2_values):
 _XI_STEP = 0.1
 _TAIL_TOL = 1e-4
 _MAX_EXTENSIONS = 6
+# edge_density_rho's coarser fiber step, in magnetic lengths 1/sqrt(b)
+_FIBER_STEP = 1.0 / 48
 
 
 def _diagonal_density(fib, F):
@@ -398,18 +417,18 @@ def _diagonal_density(fib, F):
     return np.einsum("tse,e->t", np.abs(psi) ** 2, np.asarray(F(E))) / fib.h
 
 
-def _momentum_integral(integrand, gamma, b, depth, floor):
+def _momentum_integral(integrand, b, depth, floor):
     """Riemann sum over xi in [-b (depth + span), b span], span = 6/sqrt(b), of
-    integrand(half-line fiber at xi), its domain two spans past depth and one
-    past the orbit centre -xi/b; the range grows by b span at both ends until
+    integrand(xi, T_dom), where T_dom, the half-line domain the integrand's
+    fibers take at xi, reaches two spans past depth and one past the orbit
+    centre -xi/b; the range grows by b span at both ends until
     core._converge accepts the total (the given floor), else QuadratureError."""
     dxi = _XI_STEP * np.sqrt(b)
     span = _span(b)
 
     def part(xis):
-        fibs = (discretize_fiber(gamma, x, b, T_dom=max(depth + 2 * span, -x / b + span))
-                for x in xis)
-        return np.sum([integrand(fib) for fib in fibs], axis=0)
+        return np.sum([integrand(x, max(depth + 2 * span, -x / b + span)) for x in xis],
+                      axis=0)
 
     def totals(lo, hi, step):
         total = part(np.arange(lo, hi + dxi / 2, dxi)) * dxi
@@ -424,28 +443,60 @@ def _momentum_integral(integrand, gamma, b, depth, floor):
                      "xi-integration tail")
 
 
+def _strip_weights(h, L):
+    """Weights on the nodes j h, j <= m + 1, that integrate their linear
+    interpolant over [0, L]: the trapezoid rule up to t_m <= L, then the
+    interpolant of t_m and t_(m+1) integrated over [t_m, L]."""
+    m = int(L / h)
+    s = L / h - m
+    w = np.full(m + 2, h)
+    w[0] = h / 2.0
+    w[m], w[m + 1] = h * (0.5 + s - s * s / 2.0), h * s * s / 2.0
+    return w
+
+
 def edge_density_rho(gamma, b, F, L):
     """Edge density (1/(2 pi L)) int dxi int_0^L tr F(fiber)(t,t) dt.
 
     F is a vectorized callable on energies with a support_max attribute
     bounding |E| on its support (a hs_calculus.SchwartzFunction has one);
-    only eigenpairs with |E| <= support_max enter.  The t-integral ends at L
-    on any grid step; the xi-integral is _momentum_integral's (floor 1).
+    only eigenpairs with |E| <= support_max enter.  L is one strip width
+    (returns a float) or a sequence of them (returns an array): one sweep on
+    the largest serves all, the t-integral ending exactly at each L.
+
+    Each fiber is solved at the steps h = _FIBER_STEP/sqrt(b) and h/2 on the
+    same domain (each eigenstate in the window lives within 6/sqrt(b) of its
+    orbit centre or the edge, so h follows the magnetic length, not the
+    domain); the xi-integral of _momentum_integral (floor 1) converges both,
+    and the result is the Richardson value (4 rho(h/2) - rho(h))/3.  Its
+    measured step error |rho(h/2) - rho(h)|/3 must stay below _TAIL_TOL
+    relative to the xi-integrated total (floor 1), else QuadratureError
+    carrying the rho(h/2) and rho(h) values as last and previous.
     """
-    L = float(L)
+    Ls = np.asarray(L, dtype=float).ravel()
+    if not np.all(np.isfinite(Ls) & (Ls > 0.0)):
+        raise ValueError(f"strip widths L must be finite and positive, got {L!r}")
+    b, g = _flux(b), _gamma_value(gamma)
+    steps = (_FIBER_STEP / np.sqrt(b), _FIBER_STEP / np.sqrt(b) / 2.0)
+    weights = [[_strip_weights(step, Lk) for Lk in Ls] for step in steps]
 
-    def integrand(fib):
-        # trapezoid rule on the nodes up to t_m <= L, then the linear
-        # interpolant of t_m and t_(m+1) integrated over [t_m, L]
-        m = int(L / fib.h)
-        s = L / fib.h - m
-        w = np.full(m + 2, fib.h)
-        w[0] = fib.h / 2.0
-        w[m], w[m + 1] = fib.h * (0.5 + s - s * s / 2.0), fib.h * s * s / 2.0
-        return float(w @ _diagonal_density(fib, F)[: m + 2])
+    def integrand(xi, T_dom):
+        # one solve per step; every L reads the same density
+        out = np.empty((2, Ls.size))
+        for i, step in enumerate(steps):
+            dens = _diagonal_density(_assemble(g, xi, b, step, T_dom), F)
+            out[i] = [w @ dens[: w.size] for w in weights[i]]
+        return out
 
-    total, _ = _momentum_integral(integrand, gamma, b, L, 1.0)
-    return total / (2.0 * np.pi * L)
+    total, _ = _momentum_integral(integrand, b, float(np.max(Ls)), 1.0)
+    step_error = np.max(np.abs(total[1] - total[0]) / 3.0 / np.maximum(1.0, np.abs(total[1])))
+    coarse, fine = (total / (2.0 * np.pi * Ls)).reshape((2,) + np.shape(L))
+    if step_error >= _TAIL_TOL:
+        raise QuadratureError(
+            f"fiber step not converged (step error {step_error:.2e} of the total, "
+            f"tolerance {_TAIL_TOL:.0e})", last=fine, previous=coarse)
+    rho = (4.0 * fine - coarse) / 3.0
+    return float(rho) if rho.ndim == 0 else rho
 
 
 def edge_bulk_diagonal_gap(F, gamma, b, x2_grid):
@@ -459,13 +510,14 @@ def edge_bulk_diagonal_gap(F, gamma, b, x2_grid):
     x2_grid = np.asarray(x2_grid, dtype=float)
     xmax = float(np.max(x2_grid))
 
-    def integrand(fib_e):
-        T_bulk = 2 * (abs(fib_e.xi / b) + xmax + _span(b))
-        fib_b = discretize_fiber(None, fib_e.xi, b, T_dom=T_bulk, whole_line=True)
+    def integrand(xi, T_dom):
+        fib_e = discretize_fiber(gamma, xi, b, T_dom=T_dom)
+        T_bulk = 2 * (abs(xi / b) + xmax + _span(b))
+        fib_b = discretize_fiber(None, xi, b, T_dom=T_bulk, whole_line=True)
         return (np.interp(x2_grid, fib_e.grid, _diagonal_density(fib_e, F))
                 - np.interp(x2_grid, fib_b.grid, _diagonal_density(fib_b, F)))
 
-    total, _ = _momentum_integral(integrand, gamma, b, xmax, 1e-6)
+    total, _ = _momentum_integral(integrand, b, xmax, 1e-6)
     return total / (2.0 * np.pi)
 
 

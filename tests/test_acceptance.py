@@ -281,7 +281,7 @@ def test_criterion_11_bulk_edge_correspondence():
     w = gap_window(1.0, 1, 1)
     F = SchwartzFunction.plateau(w.e1, w.e2, w.e3, w.e4)
     I = bulk_ids(1.0, w)
-    errs = [abs(edge_density_rho(1.0, 1.0, F, L) - I) for L in (4.0, 8.0, 16.0)]
+    errs = np.abs(edge_density_rho(1.0, 1.0, F, (4.0, 8.0, 16.0)) - I)
     rho_ok = errs[0] > errs[1] > errs[2]
     _report(11, "bulk-edge correspondence", match_ok and int_ok and rho_ok,
             f"conductance == round(2pi dIds/db) on 18 combos, "

@@ -150,3 +150,18 @@ def test_combes_thomas_experiment_within_bound(tmp_path):
     assert float(rows[0]["bound"]) == pytest.approx(2.0)
     assert float(rows[0]["measured"]) <= 1.1 * float(rows[0]["bound"])
 
+
+
+def test_bulk_edge_run_reports_rho_for_every_L(tmp_path):
+    path = _write_cfg(tmp_path, {
+        "experiment": "bulk-edge", "output": str(tmp_path / "be"),
+        "b_values": [1.0], "gamma_values": [1.0], "gaps": [[0, 0]], "L_values": [4, 8],
+    })
+    assert main(["run", path]) == 0
+    rows = _read_rows(tmp_path / "be.csv")
+    assert len(rows) == 1 and float(rows[0]["conductance"]) == 1.0
+    rho = json.loads((tmp_path / "be.meta.json").read_text())["rho_L"]
+    assert sorted(rho) == ["4", "8"]
+    # the gap (0, 0) window holds one Landau level: bulk value b / 2pi
+    bulk = 1.0 / (2.0 * np.pi)
+    assert abs(rho["4"] - bulk) > abs(rho["8"] - bulk)

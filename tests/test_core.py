@@ -6,7 +6,7 @@ import pytest
 from dirac_edge import fiber, magnetic
 from dirac_edge.core import QuadratureError
 from dirac_edge.edge_kernel import edge_F_direct
-from dirac_edge.fiber import edge_bulk_diagonal_gap
+from dirac_edge.fiber import edge_bulk_diagonal_gap, edge_density_rho, gap_window
 from dirac_edge.hs_calculus import HsQuadrature, SchwartzFunction, fiber_F_kernel, hs_apply_matrix
 from dirac_edge.kernel_ops import CompositionPlan, PotentialField, compose2, resolvent_kernel
 from dirac_edge.magnetic import schur_norm_Tb
@@ -35,6 +35,14 @@ def _gap(monkeypatch, max_extensions):
     return edge_bulk_diagonal_gap(F, 1.0, 1.0, [0.5])
 
 
+def _rho_step(monkeypatch):
+    # twelve times the default fiber step: the xi-tail still converges, the
+    # measured step error does not
+    monkeypatch.setattr(fiber, "_FIBER_STEP", 0.25)
+    w = gap_window(1.0, 0, 0)
+    return edge_density_rho(1.0, 1.0, SchwartzFunction.plateau(w.e1, w.e2, w.e3, w.e4), 4.0)
+
+
 def _schur_strict(monkeypatch):
     monkeypatch.setattr(magnetic, "_SCHUR_TOL", 1e-30)
     monkeypatch.setattr(magnetic, "_SCHUR_MAX_EXTENSIONS", 2)
@@ -54,6 +62,7 @@ FAILING = {
     "schur_norm_Tb": (_schur_strict, True),
     "edge_bulk_diagonal_gap_ext1": (lambda mp: _gap(mp, 1), True),
     "edge_bulk_diagonal_gap_ext0": (lambda mp: _gap(mp, 0), False),
+    "edge_density_rho_step": (_rho_step, True),
 }
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from dirac_edge import fiber
 from dirac_edge.core import SpectralPoint
 from dirac_edge.fiber import (
     GapWindow,
@@ -17,6 +18,7 @@ from dirac_edge.fiber import (
     ids_derivative,
     landau_levels,
 )
+from dirac_edge.hs_calculus import SchwartzFunction
 
 RNG = np.random.default_rng(4242)
 
@@ -263,7 +265,7 @@ def test_edge_density_converges_to_bulk_ids():
     w = gap_window(1.0, 1, 1)
     F = _window_function(w)
     I = bulk_ids(1.0, w)
-    errs = [abs(edge_density_rho(1.0, 1.0, F, L) - I) for L in (4.0, 8.0, 16.0)]
+    errs = np.abs(edge_density_rho(1.0, 1.0, F, (4.0, 8.0, 16.0)) - I)
     assert errs[0] > errs[1] > errs[2]
     # boundary-layer contribution is O(1): L * |rho_L - I| stays bounded.
     # With the t-integral ending at L on every fiber's grid, the boundary
@@ -272,39 +274,83 @@ def test_edge_density_converges_to_bulk_ids():
     assert max(scaled) / min(scaled) - 1.0 < 0.05
 
 
+def _plateau(w):
+    return SchwartzFunction.plateau(w.e1, w.e2, w.e3, w.e4)
+
+
+def test_edge_density_within_its_measured_step_error(monkeypatch):
+    # the xi-integrated totals at the steps (h, h/2) that edge_density_rho
+    # extrapolates; their difference over 3 is the measured step error
+    seen, momentum_integral = [], fiber._momentum_integral
+    monkeypatch.setattr(fiber, "_momentum_integral",
+                        lambda *args: seen.append(momentum_integral(*args)) or seen[-1])
+    F = _plateau(gap_window(1.0, 1, 1))
+    for g in (0.5, 2.0):
+        rho = edge_density_rho(g, 1.0, F, 4.0)
+        coarse, fine = seen[-1][0][:, 0] / (2.0 * np.pi * 4.0)
+        step_error = abs(fine - coarse) / 3.0
+        assert step_error > 0.0
+        with monkeypatch.context() as m:
+            m.setattr(fiber, "_FIBER_STEP", fiber._FIBER_STEP / 2.0)
+            assert abs(edge_density_rho(g, 1.0, F, 4.0) - rho) <= step_error
+
+
+def test_edge_density_one_sweep_serves_every_L():
+    F = _plateau(gap_window(1.0, 1, 1))
+    both = edge_density_rho(1.0, 1.0, F, [4.0, 8.0])
+    single = [edge_density_rho(1.0, 1.0, F, L) for L in (4.0, 8.0)]
+    assert both.shape == (2,) and all(isinstance(r, float) for r in single)
+    assert np.allclose(both, single, rtol=1e-12, atol=0.0)
+
+
+def test_edge_density_rejects_strip_widths():
+    F = _plateau(gap_window(1.0, 0, 0))
+    for L in (0.0, -4.0, [4.0, np.nan]):
+        with pytest.raises(ValueError, match="strip widths"):
+            edge_density_rho(1.0, 1.0, F, L)
+
+
 def _edge_density_rho_inline_loop(g, b, F, L):
-    """Reference: edge_density_rho with its own copy of the xi-tail loop."""
+    """Reference: edge_density_rho with its own copy of the xi-tail loop:
+    each xi solved at the steps h and h/2, then the Richardson value."""
     dxi, span = 0.1 * np.sqrt(b), 6.0 / np.sqrt(b)
+    h = (1.0 / 48) / np.sqrt(b)
     T_dom = L + 2 * span
 
-    def integrand(xi):
-        fib = discretize_fiber(g, xi, b, T_dom=max(T_dom, -xi / b + span))
+    def strip(step, xi):
+        fib = fiber._assemble(g, xi, b, step, max(T_dom, -xi / b + span))
         E, psi = fib.eigensystem(emin=-F.support_max, emax=F.support_max)
-        if E.size == 0:
-            return 0.0
-        m = int(L / fib.h)
-        s = L / fib.h - m
-        dens = np.einsum("tse,e->t", np.abs(psi[: m + 2]) ** 2, np.asarray(F(E))) / fib.h
+        dens = np.einsum("tse,e->t", np.abs(psi) ** 2, np.asarray(F(E))) / step
+        m = int(L / step)
+        s = L / step - m
         # trapezoid rule to the last node t_m <= L, then the linear
         # interpolant of t_m and t_(m+1) over [t_m, L]
-        w = np.full(m + 2, fib.h)
-        w[0] = fib.h / 2.0
-        w[m], w[m + 1] = fib.h * (0.5 + s - s * s / 2.0), fib.h * s * s / 2.0
-        return float(w @ dens)
+        w = np.full(m + 2, step)
+        w[0] = step / 2.0
+        w[m], w[m + 1] = step * (0.5 + s - s * s / 2.0), step * s * s / 2.0
+        return w @ dens[: m + 2]
+
+    def integrand(xi):
+        return np.array([[strip(h, xi)], [strip(h / 2.0, xi)]])
+
+    def part(xs):
+        return np.sum([integrand(x) for x in xs], axis=0)
 
     lo, hi = -b * (L + span), b * span
-    xs = np.arange(lo, hi + dxi / 2, dxi)
-    total = np.sum([integrand(x) for x in xs]) * dxi
+    total = part(np.arange(lo, hi + dxi / 2, dxi)) * dxi
     for _ in range(6):
-        new_lo = np.arange(lo - b * span, lo, dxi)
-        new_hi = np.arange(hi + dxi, hi + b * span + dxi / 2, dxi)
-        tail = (np.sum([integrand(x) for x in new_lo])
-                + np.sum([integrand(x) for x in new_hi])) * dxi
-        total += tail
+        tail = (part(np.arange(lo - b * span, lo, dxi))
+                + part(np.arange(hi + dxi, hi + b * span + dxi / 2, dxi))) * dxi
+        total = total + tail
         lo, hi = lo - b * span, hi + b * span + dxi
-        if abs(tail) < 1e-4 * max(abs(total), 1.0):
-            return total / (2.0 * np.pi * L)
-    raise RuntimeError("xi-integration tail did not converge")
+        if np.max(np.abs(tail)) < 1e-4 * max(np.max(np.abs(total)), 1.0):
+            break
+    else:
+        raise RuntimeError("xi-integration tail did not converge")
+    if abs(total[1, 0] - total[0, 0]) / 3.0 >= 1e-4 * max(abs(total[1, 0]), 1.0):
+        raise RuntimeError("fiber step did not converge")
+    coarse, fine = total[:, 0] / (2.0 * np.pi * L)
+    return (4.0 * fine - coarse) / 3.0
 
 
 def test_edge_density_shared_tail_loop_is_bit_identical():
