@@ -7,6 +7,7 @@ calculus, and the bulk-edge spectral toolbox.
 from .core import (
     BoundaryParam,
     DiagonalKernelError,
+    EigensolverError,
     QuadratureError,
     SpectralPoint,
 )

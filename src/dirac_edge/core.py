@@ -33,6 +33,11 @@ class QuadratureError(RuntimeError):
         self.previous = previous
 
 
+class EigensolverError(RuntimeError):
+    """Raised when a windowed fiber eigensolve fails: a LAPACK routine reports
+    an error, or an eigenpair's residual exceeds its stated bound."""
+
+
 def _converge(estimates, tol, floor, what):
     """The one stop rule of the adaptive quadratures.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core import BoundaryParam, QuadratureError, _converge
+from .core import BoundaryParam, EigensolverError, QuadratureError, _converge
 
 __all__ = [
     "FiberDiscretization",
@@ -80,22 +80,21 @@ class FiberDiscretization:
         return c
 
     def eigenvalues(self, emin, emax):
-        return scipy.linalg.eigh_tridiagonal(
-            self.diag, self.off, select="v", select_range=(emin, emax), eigvals_only=True
-        )
+        """Eigenvalues in (emin, emax], ascending, by _window_eigh."""
+        return _window_eigh(self.diag, self.off, emin, emax)[0]
 
     def raw_eigensystem(self, emin, emax):
-        return scipy.linalg.eigh_tridiagonal(
-            self.diag, self.off, select="v", select_range=(emin, emax)
-        )
+        """(E, V): eigenvalues in (emin, emax], ascending, and orthonormal
+        eigenvectors in DOF ordering as the columns of V, by _window_eigh."""
+        return _window_eigh(self.diag, self.off, emin, emax)
 
     def eigensystem(self, emin, emax):
-        """Eigenvalues in [emin, emax] and spinors interpolated to the psi1 node grid.
+        """Eigenvalues in (emin, emax] and spinors interpolated to the psi1 node grid.
 
         Returns (E, psi) with psi of shape (n_nodes, 2, n_eigs) in physical
         coordinates: the half-cell boundary metric is undone and the
         midpoint component is averaged (ends: one-sided 2nd-order
-        extrapolation) onto the nodes.
+        extrapolation) onto the nodes.  The eigenpairs are raw_eigensystem's.
         """
         E, V = self.raw_eigensystem(emin, emax)
         n = self.grid.size
@@ -108,6 +107,53 @@ class FiberDiscretization:
         psi[0, 1, :] = 1.5 * mid[0] - 0.5 * mid[1]
         psi[-1, 1, :] = 1.5 * mid[-1] - 0.5 * mid[-2]
         return E, psi
+
+
+# bisection tolerance of _window_eigh: it sets only the shifts of inverse
+# iteration; the Rayleigh-Ritz step makes the eigenvalues exact to rounding
+_BISECT_TOL = 1e-4
+# largest Ritz residual |T v - E v| that _window_eigh accepts, relative to
+# max|T|: at _BISECT_TOL the edge-density fibers (gap (1, 1), gamma 0.5 and 2)
+# reach 9e-14; at tolerances 1e-3, 1e-2 and 1e-1 they reach 4e-10, 2e-7, 1e-4
+_RESIDUAL_TOL = 1e-9
+
+
+def _window_eigh(diag, off, emin, emax):
+    """Eigenpairs (E, V) of the symmetric tridiagonal T = (diag, off), n >= 2,
+    with eigenvalue in (emin, emax]: E ascending, V's columns orthonormal.
+
+    LAPACK dstebz bisects to _BISECT_TOL (the count is the exact Sturm count
+    of the window), dstein finds the eigenvectors by inverse iteration, and,
+    with those orthonormalized, a Rayleigh-Ritz step on the block (S = V^T T V,
+    S = R diag(E) R^T, V <- V R) makes the eigenvalues exact to rounding and
+    returns a near-degenerate pair as an orthonormal basis of its span.
+    Raises EigensolverError when either LAPACK call reports an error or a
+    Ritz residual |T v - E v| exceeds _RESIDUAL_TOL max|T|.
+    """
+    lapack = scipy.linalg.lapack
+    # range 1 is the value window (emin, emax]; order "B" groups the
+    # eigenvalues by split-off block, as dstein needs
+    m, w, iblock, isplit, info = lapack.dstebz(diag, off, 1, emin, emax, 0, 0,
+                                               _BISECT_TOL, "B")
+    if info != 0:
+        raise EigensolverError(f"dstebz failed on ({emin}, {emax}] (info {info})")
+    if m == 0:
+        return np.empty(0), np.empty((diag.size, 0))
+    V, info = lapack.dstein(diag, off, w[:m], iblock, isplit)
+    if info != 0:
+        raise EigensolverError(f"dstein failed on ({emin}, {emax}] (info {info})")
+    V = np.linalg.qr(V)[0]
+    TV = diag[:, None] * V
+    TV[:-1] += off[:, None] * V[1:]
+    TV[1:] += off[:, None] * V[:-1]
+    E, R = np.linalg.eigh(V.T @ TV)
+    V, TV = V @ R, TV @ R
+    residual = np.max(np.linalg.norm(TV - V * E, axis=0))
+    bound = _RESIDUAL_TOL * max(np.max(np.abs(diag)), np.max(np.abs(off)))
+    if not residual <= bound:
+        raise EigensolverError(
+            f"Ritz residual {residual:.2e} on ({emin}, {emax}] exceeds {bound:.2e}")
+    return E, V
 
 
 def _flux(b):

@@ -175,26 +175,33 @@ class HsQuadrature:
 _SOLVE_BYTES = 16 * 2**20  # bound on one batch's (dim, shifts, columns) work array
 
 
-def _shifted_solves(diag, lower, upper, B, z):
-    """X[:, k] = (T - z_k)^{-1} B for every shift z_k, by a Thomas recursion
-    vectorized over the shifts.  No pivoting is needed: every leading block
-    of T - z is Hermitian minus z with Im z != 0, so it is nonsingular."""
+def _shifted_solves(diag, off, B, z):
+    """X[:, k] = (T - z_k)^{-1} B for every shift z_k, T the real symmetric
+    tridiagonal (diag, off), by a Thomas recursion vectorized over the shifts.
+    No pivoting is needed: every leading block of T - z is symmetric minus z
+    with Im z != 0, so it is nonsingular."""
     X = np.empty((diag.size, z.size, B.shape[1]), dtype=complex)
     c = np.empty((diag.size - 1, z.size), dtype=complex)
     piv = diag[0] - z
     X[0] = B[0] / piv[:, None]
     for i in range(1, diag.size):
-        c[i - 1] = upper[i - 1] / piv
-        piv = (diag[i] - z) - lower[i - 1] * c[i - 1]
-        X[i] = (B[i] - lower[i - 1] * X[i - 1]) / piv[:, None]
+        c[i - 1] = off[i - 1] / piv
+        piv = (diag[i] - z) - off[i - 1] * c[i - 1]
+        X[i] = (B[i] - off[i - 1] * X[i - 1]) / piv[:, None]
     for i in range(diag.size - 2, -1, -1):
         X[i] -= c[i][:, None] * X[i + 1]
     return X
 
 
-def _hs_sum(F, N, tri, B, quad, Q=None):
-    """pi^{-1} Q sum over the contour nodes of dbar F_N(z) (T - z)^{-1} B, for
-    T given by its (diagonal, subdiagonal, superdiagonal); Q None = identity."""
+def _hs_sum(F, N, tri, B, quad):
+    """pi^{-1} sum over the contour nodes of dbar F_N(z) (T - z)^{-1} B, for T
+    the real symmetric tridiagonal tri = (diagonal, subdiagonal) and B real.
+
+    Only the nodes with Im z > 0 are solved: dbar F_N(u, -v) is the conjugate
+    of dbar F_N(u, v), the v-rule is mirror-symmetric and
+    (T - conj z)^{-1} B = conj((T - z)^{-1} B), so the sum is
+    2 Re(sum over Im z_k > 0 of D_k (T - z_k)^{-1} B) / pi, D_k the weighted
+    dbar F_N(z_k)."""
     a, bmax = F.support
     pad = 2.0  # extension support reaches one unit past supp F in u
     ue = np.linspace(a - pad, bmax + pad, quad.u_panels + 1)
@@ -205,19 +212,15 @@ def _hs_sum(F, N, tri, B, quad, Q=None):
     ve_pos = np.concatenate(
         [np.geomspace(quad.v_min, 0.5, n_dec + 1), np.linspace(0.5, 1.0, 5)[1:]]
     )
-    pieces = [gauss_legendre_panels(-ve_pos[::-1], quad.v_nodes),
-              gauss_legendre_panels(ve_pos, quad.v_nodes)]
-    vn = np.concatenate([p[0] for p in pieces])
-    vw = np.concatenate([p[1] for p in pieces])
+    vn, vw = gauss_legendre_panels(ve_pos, quad.v_nodes)
     U, V = np.meshgrid(un, vn, indexing="ij")
-    Wt = np.outer(uw, vw)
-    D = dbar_eval(F, N, U, V) * Wt
+    D = dbar_eval(F, N, U, V) * np.outer(uw, vw)
     flatD = D.ravel()
     flatZ = (U + 1j * V).ravel()
     dmax = np.max(np.abs(flatD))
-    acc = np.zeros(B.shape, dtype=complex)
     if dmax == 0.0:
-        return acc
+        return np.zeros(B.shape)
+    acc = np.zeros(B.shape, dtype=complex)
     keep = np.abs(flatD) > 1e-14 * dmax
     flatD, flatZ = flatD[keep], flatZ[keep]
     chunk = max(1, _SOLVE_BYTES // (16 * B.size))
@@ -226,32 +229,48 @@ def _hs_sum(F, N, tri, B, quad, Q=None):
         acc += np.tensordot(flatD[k : k + chunk], X, axes=(0, 1))
     # sign pinned by the diagonal self-calibration test: with
     # dbar = (d_u + i d_v)/2 the reconstruction is +pi^{-1} int dbar F (H-z)^{-1}
-    return (acc if Q is None else Q @ acc) / np.pi
+    return 2.0 * acc.real / np.pi
 
 
-def _hs_refinements(F, N, tri, B, quad, Q=None):
+def _hs_refinements(F, N, tri, B, quad):
     """_hs_sum on quad, then on max_refinements refinements of it (u panels
     doubled, two more v nodes per panel each time)."""
-    yield _hs_sum(F, N, tri, B, quad, Q)
+    yield _hs_sum(F, N, tri, B, quad)
     for _ in range(quad.max_refinements):
         quad = replace(quad, u_panels=2 * quad.u_panels, v_nodes=quad.v_nodes + 2)
-        yield _hs_sum(F, N, tri, B, quad, Q)
+        yield _hs_sum(F, N, tri, B, quad)
+
+
+def _real_tridiagonal(H):
+    """(diag, off), Q with H = Q T Q^*, T the real symmetric tridiagonal
+    (diag, off) and Q unitary: the Hessenberg form of the Hermitian H, whose
+    subdiagonal is made real and nonnegative by a diagonal phase folded into
+    Q (past an exactly zero subdiagonal entry the phase carries on unchanged)."""
+    T, Q = scipy.linalg.hessenberg(H, calc_q=True)
+    sub = np.diag(T, -1)
+    off = np.abs(sub)
+    unit = np.where(off > 0.0, sub / np.where(off > 0.0, off, 1.0), 1.0)
+    phase = np.concatenate([[1.0], np.cumprod(unit)])
+    return (np.diag(T).real.copy(), off), Q * phase[None, :]
 
 
 def hs_apply_matrix(F, N, H, quad=None):
     """F(H) for Hermitian H via the contour integral, refined until
     core._converge accepts (tolerance quad.tol, floor 1), else raises its
-    QuadratureError."""
+    QuadratureError.
+
+    H is reduced once to a real symmetric tridiagonal T = Q^* H Q
+    (_real_tridiagonal), so each resolvent is a tridiagonal solve, O(dim)
+    per column, and _hs_sum solves the upper half-plane nodes only; each
+    refinement Q F(T) Q^* is compared in the original basis."""
     H = np.asarray(H)
     if np.max(np.abs(H - H.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(H))):
         raise ValueError("H must be Hermitian")
     if quad is None:
         quad = HsQuadrature()
-    # tridiagonalize once (exact unitary similarity H = Q T Q^*), then each
-    # resolvent is a tridiagonal solve, O(dim) per right-hand side
-    T, Q = scipy.linalg.hessenberg(H, calc_q=True)
-    tri = (np.diag(T), np.diag(T, -1), np.diag(T, 1))
-    refinements = _hs_refinements(F, N, tri, Q.conj().T, quad, Q)
+    tri, Q = _real_tridiagonal(H)
+    refinements = (Q @ FT @ Q.conj().T
+                   for FT in _hs_refinements(F, N, tri, np.eye(H.shape[0]), quad))
     return _converge(refinements, quad.tol, 1.0, "Helffer-Sjostrand quadrature")[0]
 
 
@@ -311,7 +330,7 @@ def fiber_F_kernel(F, gamma, b, xi, t, tprime, grid=None, method="eig", N=4,
     elif method == "hs":
         # apply F(H) to the two interpolation vectors only
         quad = quad or HsQuadrature()
-        refinements = _hs_refinements(F, N, (fib.diag, fib.off, fib.off), col.T, quad)
+        refinements = _hs_refinements(F, N, (fib.diag, fib.off), col.T, quad)
         M_col = _converge(refinements, quad.tol, 1.0, "Helffer-Sjostrand quadrature")[0]
     else:
         raise ValueError(f"unknown method {method!r}")

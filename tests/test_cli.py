@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from dirac_edge import fiber
 from dirac_edge.cli import list_experiments, main
 from dirac_edge.edge_kernel import ContourConfig, halfplane_kernel_batch
 
@@ -109,6 +110,21 @@ def test_nonconvergence_maps_to_exit_3(tmp_path, capsys):
     })
     assert main(["run", path]) == 3
     assert "non-convergence" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_eigensolver_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
+    # a bisection tolerance of 1 fails the Ritz residual check of the fiber
+    # eigensolve; its EigensolverError is a RuntimeError
+    monkeypatch.setattr(fiber, "_BISECT_TOL", 1.0)
+    path = _write_cfg(tmp_path, {
+        "experiment": "fiber-F", "output": str(tmp_path / "f"),
+        "F": {"type": "gaussian", "center": 0.0, "sigma": 0.35},
+        "gamma": 1.0, "b": 1.0, "xi": 0.0,
+        "t_values": [0.5], "tprime_values": [1.0], "T_dom": 6.0,
+    })
+    assert main(["run", path]) == 3
+    assert "Ritz residual" in capsys.readouterr().err
     assert not (tmp_path / "f.csv").exists()
 
 

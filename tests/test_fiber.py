@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 
-from dirac_edge import fiber
-from dirac_edge.core import SpectralPoint
+from dirac_edge import fiber, hs_calculus
+from dirac_edge.core import EigensolverError, SpectralPoint
 from dirac_edge.fiber import (
     GapWindow,
     _count_below,
+    _window_eigh,
     assembled_bulk_diagonal,
     bulk_ids,
     combes_thomas_check,
@@ -357,6 +359,87 @@ def test_edge_density_shared_tail_loop_is_bit_identical():
     w = gap_window(1.0, 0, 0)
     F = _window_function(w)
     assert edge_density_rho(1.0, 1.0, F, 4.0) == _edge_density_rho_inline_loop(1.0, 1.0, F, 4.0)
+
+
+def _assert_window_eigh_matches_oracle(diag, off, emin, emax):
+    """_window_eigh against scipy's eigh_tridiagonal at full precision: the
+    same count, eigenvalues and densities sum |v|^2 within 1e-12, and an
+    orthonormal basis."""
+    E0, V0 = eigh_tridiagonal(diag, off, select="v", select_range=(emin, emax))
+    E, V = _window_eigh(diag, off, emin, emax)
+    assert E.size == E0.size and V.shape == (diag.size, E.size)
+    if E.size:
+        assert np.max(np.abs(E - E0)) <= 1e-12
+        assert np.max(np.abs(np.sum(V**2, axis=1) - np.sum(V0**2, axis=1))) <= 1e-12
+        assert np.max(np.abs(V.T @ V - np.eye(E.size))) <= 1e-10
+    return E
+
+
+def test_window_eigh_matches_full_precision_eigensolver():
+    counts = []
+    for g in (0.5, 2.0, 5.0):
+        for xi in (-6.0, -1.5, 0.0, 2.0):
+            for step in (1.0 / 48, 1.0 / 96):
+                fib = fiber._assemble(g, xi, 1.0, step, max(8.0 + 12.0, -xi + 6.0))
+                counts.append(_assert_window_eigh_matches_oracle(
+                    fib.diag, fib.off, -2.5, 2.5).size)
+    for xi in (-3.0, 0.4):
+        fib = discretize_fiber(None, xi, 1.0, whole_line=True)
+        counts.append(_assert_window_eigh_matches_oracle(fib.diag, fib.off, -3.0, 3.0).size)
+    assert min(counts) == 0 and max(counts) >= 5
+
+
+def test_window_eigh_near_degenerate_pairs():
+    # two copies of one fiber coupled at their junction: for small couplings
+    # each level splits into a pair closer than the bisection tolerance,
+    # which the Rayleigh-Ritz step returns as a basis of its span
+    fib = discretize_fiber(1.0, -3.0, 1.0)
+    for coupling in (0.0, 1e-14, 1e-10, 1e-6):
+        diag = np.concatenate([fib.diag, fib.diag])
+        off = np.concatenate([fib.off, [coupling], fib.off])
+        E = _assert_window_eigh_matches_oracle(diag, off, -2.5, 2.5)
+        assert E.size >= 6 and np.min(np.diff(E)) < fiber._BISECT_TOL
+
+
+def test_window_eigh_edges_on_eigenvalues_and_empty_window():
+    fib = discretize_fiber(1.0, -2.0, 1.0)
+    E_all = eigh_tridiagonal(fib.diag, fib.off, eigvals_only=True)
+    k = int(np.searchsorted(E_all, 0.0))
+    # window edges exactly on eigenvalues: both solvers count (emin, emax]
+    for lo, hi in ((E_all[k], E_all[k + 3]), (E_all[k - 2], E_all[k + 1])):
+        _assert_window_eigh_matches_oracle(fib.diag, fib.off, lo, hi)
+    gap_lo, gap_hi = E_all[k] + 1e-3, E_all[k + 1] - 1e-3
+    E, V = _window_eigh(fib.diag, fib.off, gap_lo, gap_hi)
+    assert E.shape == (0,) and V.shape == (fib.dim, 0)
+
+
+def test_window_eigh_residual_check_raises(monkeypatch):
+    # a bisection tolerance of 1 leaves inverse iteration too far from the
+    # eigenvalues to converge: the Ritz residual check catches it
+    monkeypatch.setattr(fiber, "_BISECT_TOL", 1.0)
+    fib = discretize_fiber(1.0, -2.0, 1.0)
+    with pytest.raises(EigensolverError, match="Ritz residual") as exc:
+        fib.eigensystem(-2.5, 2.5)
+    assert isinstance(exc.value, RuntimeError)
+
+
+def test_one_eigensolver_path(monkeypatch):
+    # every fiber eigensolve goes through _window_eigh; scipy's
+    # eigh_tridiagonal stays the tests' oracle only
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh_tridiagonal called from dirac_edge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+    for mod in (fiber, hs_calculus):
+        assert not hasattr(mod, "eigh_tridiagonal")
+    w = gap_window(1.0, 0, 0)
+    F = SchwartzFunction.plateau(w.e1, w.e2, w.e3, w.e4)
+    assert 0.1 < edge_density_rho(1.0, 1.0, F, 4.0) < 0.3
+    assert dispersion_curves(1.0, 1.0, np.linspace(-4.0, 1.0, 60), 2).branches.shape[0] > 0
+    assert bulk_ids(1.0, w) > 0.0
+    K = hs_calculus.fiber_F_kernel(SchwartzFunction.gaussian(0.0, 0.35), 1.0, 1.0, 0.0,
+                                   0.5, 1.0, grid=discretize_fiber(1.0, 0.0, 1.0, T_dom=6.0))
+    assert np.max(np.abs(K)) > 0.0
 
 
 def test_combes_thomas_bound():

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from dirac_edge.hs_calculus import (
     SchwartzFunction,
     _hs_sum,
     _interp_rows,
+    _real_tridiagonal,
     almost_analytic_eval,
     dbar_eval,
     fiber_F_kernel,
@@ -144,27 +146,45 @@ def _hs_sum_per_node(F, N, H, quad, B):
 
 
 def test_batched_hs_sum_matches_per_node_solves():
+    # _hs_sum solves the nodes with Im z > 0 of a real tridiagonal; the
+    # reference solves every node of the full plane on the complex Hessenberg
     F = SchwartzFunction.gaussian(1.0, 0.5)
     E = np.array([-1.0, 0.3, 0.3 + 1e-6, 0.9, 1.2, 1.5, 2.0, 3.0])
     Q, _ = np.linalg.qr(RNG.normal(size=(8, 8)) + 1j * RNG.normal(size=(8, 8)))
-    fib = discretize_fiber(1.0, 0.0, 1.0, T_dom=6.0)
-    col = RNG.normal(size=(fib.dim, 2))
-    cases = [((Q * E) @ Q.conj().T, np.eye(8), 2),
-             (np.array([[0.7]]), np.eye(1), 2),
-             (fib.dense(), col, 1)]
-    for H, B, levels in cases:
+    for H, levels in (((Q * E) @ Q.conj().T, 2), (np.array([[0.7]]), 2)):
         H = (H + H.conj().T) / 2.0
-        T, Qh = scipy.linalg.hessenberg(H, calc_q=True)
-        tri = (np.diag(T).copy(), np.diag(T, -1), np.diag(T, 1))
+        # the phase-reduced Hessenberg form: H = Qp T Qp^* with T real
+        tri, Qp = _real_tridiagonal(H)
+        assert np.max(np.abs((Qp * tri[0]) @ Qp.conj().T
+                             + (Qp[:, 1:] * tri[1]) @ Qp[:, :-1].conj().T
+                             + (Qp[:, :-1] * tri[1]) @ Qp[:, 1:].conj().T - H)) < 1e-14
         quad = HsQuadrature()
         for _ in range(levels):
-            ref = _hs_sum_per_node(F, 4, H, quad, B)
-            out = Qh @ _hs_sum(F, 4, tri, Qh.conj().T @ B, quad)
+            ref = _hs_sum_per_node(F, 4, H, quad, np.eye(H.shape[0]))
+            out = Qp @ _hs_sum(F, 4, tri, np.eye(H.shape[0]), quad) @ Qp.conj().T
             assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
             quad = replace(quad, u_panels=2 * quad.u_panels, v_nodes=quad.v_nodes + 2)
     # the fiber route passes the tridiagonal as it is, with no hessenberg
-    out = _hs_sum(F, 4, (fib.diag, fib.off, fib.off), col, HsQuadrature())
+    fib = discretize_fiber(1.0, 0.0, 1.0, T_dom=6.0)
+    col = RNG.normal(size=(fib.dim, 2))
+    ref = _hs_sum_per_node(F, 4, fib.dense(), HsQuadrature(), col)
+    out = _hs_sum(F, 4, (fib.diag, fib.off), col, HsQuadrature())
+    assert out.dtype == float
     assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_hs_block_diagonal_matrix():
+    # the Hessenberg form of a block-diagonal H has an exactly zero
+    # subdiagonal entry: its phase stays 1, with no 0/0
+    F = SchwartzFunction.gaussian(1.0, 0.5)
+    H = scipy.linalg.block_diag(_random_hermitian(4), np.array([[0.9]]), _random_hermitian(3))
+    E, V = np.linalg.eigh(H)
+    tri, _ = _real_tridiagonal(H)
+    assert np.sum(tri[1] == 0.0) >= 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = hs_apply_matrix(F, 4, H)
+    assert np.max(np.abs(out - (V * F(E)) @ V.conj().T)) < 1e-6
 
 
 def _edge_bulk_gap_inline_loop(F, g, b, x2_grid):
