@@ -6,6 +6,8 @@ calculus, and the bulk-edge spectral toolbox.
 
 from .core import (
     BoundaryParam,
+    BranchMatchingError,
+    ContourError,
     DiagonalKernelError,
     EigensolverError,
     QuadratureError,

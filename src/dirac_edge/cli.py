@@ -20,7 +20,13 @@ import time
 
 import numpy as np
 
-from .core import QuadratureError, SpectralPoint
+from .core import (
+    BranchMatchingError,
+    ContourError,
+    EigensolverError,
+    QuadratureError,
+    SpectralPoint,
+)
 from .edge_kernel import ContourConfig, fit_decay, halfplane_kernel_batch, zigzag_zero_mode
 from .fiber import (
     combes_thomas_check,
@@ -413,7 +419,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (QuadratureError, RuntimeError) as e:
+    except (QuadratureError, EigensolverError, ContourError, BranchMatchingError) as e:
         print(f"numerical non-convergence: {e}", file=sys.stderr)
         return 3
     print(csv_path)

@@ -38,6 +38,18 @@ class EigensolverError(RuntimeError):
     an error, or an eigenpair's residual exceeds its stated bound."""
 
 
+class ContourError(RuntimeError, FloatingPointError):
+    """Raised when a node of the edge-term contour breaks the denominator
+    safety bound, i.e. the deformation has crossed the pole line of the
+    reflection factor.  Also a FloatingPointError, the type this failure
+    had before it got its own."""
+
+
+class BranchMatchingError(RuntimeError):
+    """Raised when dispersion_curves cannot follow a branch from one edge
+    momentum to the next by eigenvector overlap (the grid is too coarse)."""
+
+
 def _converge(estimates, tol, floor, what):
     """The one stop rule of the adaptive quadratures.
 

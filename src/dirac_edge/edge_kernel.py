@@ -41,6 +41,7 @@ import numpy as np
 
 from .core import (
     BoundaryParam,
+    ContourError,
     _converge,
     as_halfplane_array,
     gauss_legendre_panels,
@@ -187,7 +188,7 @@ def _trapezoid(g, r, theta, shift, eps, refinement):
 
     |1 + i g e^w| >= sin(eps) on a contour at least eps below the pole line
     Im w = pi/2 (and above Im w = -3 pi/2); a node below that bound means
-    the contour crossed the pole of c.
+    the contour crossed the pole of c, and raises ContourError.
     """
     # beyond this r the integrand underflows to zero at every node
     r = np.minimum(r, 750.0 / np.cos(shift))
@@ -204,7 +205,7 @@ def _trapezoid(g, r, theta, shift, eps, refinement):
         denom = g * iew
         denom += 1.0
         if np.min(np.abs(denom)) < bound:
-            raise FloatingPointError(
+            raise ContourError(
                 "contour node violates the denominator safety bound; "
                 "the deformation angle is inconsistent with the geometry"
             )

@@ -19,9 +19,14 @@ reference: relativistic Landau levels +/- sqrt(2 b n).
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .core import BoundaryParam, EigensolverError, QuadratureError, _converge
+from .core import (
+    BoundaryParam,
+    BranchMatchingError,
+    EigensolverError,
+    QuadratureError,
+    _converge,
+)
 
 __all__ = [
     "FiberDiscretization",
@@ -130,7 +135,9 @@ def _window_eigh(diag, off, emin, emax):
     Raises EigensolverError when either LAPACK call reports an error or a
     Ritz residual |T v - E v| exceeds _RESIDUAL_TOL max|T|.
     """
-    lapack = scipy.linalg.lapack
+    # imported here so that the package and its kernel layers load without scipy
+    from scipy.linalg import lapack
+
     # range 1 is the value window (emin, emax]; order "B" groups the
     # eigenvalues by split-off block, as dstein needs
     m, w, iblock, isplit, info = lapack.dstebz(diag, off, 1, emin, emax, 0, 0,
@@ -261,8 +268,9 @@ def dispersion_curves(gamma, b, xi_grid, n_branches):
     """Fiber eigenvalue branches E_n(xi), matched by eigenvector overlap.
 
     Branch identities follow the eigenvectors between neighboring xi values;
-    an overlap below _OVERLAP_MIN raises with diagnostics.  Branches cover the
-    energy window of the first n_branches Landau levels on both sides.
+    an overlap below _OVERLAP_MIN raises BranchMatchingError with diagnostics.
+    Branches cover the energy window of the first n_branches Landau levels on
+    both sides.
     """
     xi_grid = np.asarray(xi_grid, dtype=float)
     emax = np.sqrt(2.0 * b * n_branches) + 0.8 * np.sqrt(b)
@@ -306,7 +314,7 @@ def dispersion_curves(gamma, b, xi_grid, n_branches):
                 last = active[trow]["values"][-1]
                 if abs(last) < emax - edge_margin:
                     best = float(np.max(ov[trow])) if ov.shape[1] else 0.0
-                    raise RuntimeError(
+                    raise BranchMatchingError(
                         f"branch matching failed at xi={xi:.4f} (branch at E="
                         f"{last:.4f}): best overlap {best:.3f} (threshold "
                         f"{_OVERLAP_MIN}); refine the xi grid"

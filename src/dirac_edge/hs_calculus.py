@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 from math import comb, factorial
 
 import numpy as np
-import scipy.linalg
 from numpy.polynomial import Polynomial
 from numpy.polynomial.hermite_e import HermiteE
 
@@ -246,7 +245,10 @@ def _real_tridiagonal(H):
     (diag, off) and Q unitary: the Hessenberg form of the Hermitian H, whose
     subdiagonal is made real and nonnegative by a diagonal phase folded into
     Q (past an exactly zero subdiagonal entry the phase carries on unchanged)."""
-    T, Q = scipy.linalg.hessenberg(H, calc_q=True)
+    # imported here so that the package and its kernel layers load without scipy
+    from scipy.linalg import hessenberg
+
+    T, Q = hessenberg(H, calc_q=True)
     sub = np.diag(T, -1)
     off = np.abs(sub)
     unit = np.where(off > 0.0, sub / np.where(off > 0.0, off, 1.0), 1.0)

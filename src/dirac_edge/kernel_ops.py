@@ -10,8 +10,8 @@ each patch contains exactly one singularity.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import k1
 
+from .closed_form import _bessel_k01
 from .core import (
     PAULI,
     BoundaryParam,
@@ -371,7 +371,7 @@ def _kernel_triples(gamma, lam, Y, h):
     table = np.empty(p.shape + (2, 2), dtype=complex)
     table[upper] = halfplane_kernel_batch(gamma, lam, Y[p[upper]], Y[q[upper]])
     rho = h / np.sqrt(np.pi)
-    diag_w = (1j / lam) * (1.0 - lam * rho * k1(lam * rho))
+    diag_w = (1j / lam) * (1.0 - lam * rho * _bessel_k01(lam * rho)[1])
     F = edge_F_batch(np.zeros(n2), 2.0 * lam * Y[:n2, 1], gamma)
     edge = lam * F[..., ::-1] / (4.0 * np.pi)          # F sigma_1: columns swapped
     table[diag] = edge + (diag_w / h**2) * np.eye(2)

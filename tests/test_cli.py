@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from dirac_edge import fiber
+from dirac_edge import edge_kernel, fiber
 from dirac_edge.cli import list_experiments, main
 from dirac_edge.edge_kernel import ContourConfig, halfplane_kernel_batch
 
@@ -126,6 +126,33 @@ def test_eigensolver_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     assert main(["run", path]) == 3
     assert "Ritz residual" in capsys.readouterr().err
     assert not (tmp_path / "f.csv").exists()
+
+
+def test_contour_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
+    # every contour sum moved onto the line eps/2 below the pole line of the
+    # reflection factor breaks the denominator safety bound (sin eps)
+    trapezoid = edge_kernel._trapezoid
+
+    def past_the_bound(g, r, theta, shift, eps, refinement):
+        return trapezoid(g, r, np.full_like(theta, np.pi / 2), eps / 2, eps, refinement)
+
+    monkeypatch.setattr(edge_kernel, "_trapezoid", past_the_bound)
+    path = _write_cfg(tmp_path, {"experiment": "kernel-grid", "output": str(tmp_path / "kg"),
+                                 "gamma": 1.0, "lam": 1.0, "n": 3})
+    assert main(["run", path]) == 3
+    assert "safety bound" in capsys.readouterr().err
+    assert not (tmp_path / "kg.csv").exists()
+
+
+def test_branch_matching_failure_maps_to_exit_3(tmp_path, capsys):
+    # 12 momenta on [-8, 2] are too coarse to follow three Landau branches
+    path = _write_cfg(tmp_path, {
+        "experiment": "dispersion", "output": str(tmp_path / "d"),
+        "gamma": 1.0, "b": 1.0, "xi_range": [-8.0, 2.0], "n_xi": 12, "n_branches": 3,
+    })
+    assert main(["run", path]) == 3
+    assert "branch matching failed" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_zigzag_demo_reports_anomaly_slope(tmp_path):

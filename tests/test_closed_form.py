@@ -3,6 +3,9 @@ import numpy as np
 import pytest
 
 from dirac_edge.closed_form import (
+    _K_PIECES,
+    _K_SERIES_MAX,
+    _bessel_k01,
     alpha,
     apply_fiber_resolvent,
     beta_coeffs,
@@ -230,3 +233,47 @@ def test_bulk_plane_kernel_rejects_coincidence_and_bad_lam():
         bulk_plane_kernel(1.0, np.zeros(2))
     with pytest.raises(ValueError):
         bulk_plane_kernel(-1.0, np.array([1.0, 0.0]))
+
+
+# _bessel_k01's branch switch, x = 2, and the edges x = _K_PIECES / j of
+# its polynomial pieces, each with its two floating-point neighbours
+_K_EDGES = np.concatenate([[_K_SERIES_MAX, 2.0], _K_PIECES / np.arange(1.0, _K_PIECES + 1)])
+_K_EDGES = np.concatenate([_K_EDGES, np.nextafter(_K_EDGES, 0.0), np.nextafter(_K_EDGES, np.inf)])
+
+
+def test_bessel_k01_matches_scipy():
+    from scipy.special import k0, k1
+
+    # the normal range: e^-x stays a normal float up to x = 708
+    x = np.concatenate([np.geomspace(1e-8, 700.0, 3000), RNG.uniform(0.5, 20.0, 2000), _K_EDGES])
+    K0, K1 = _bessel_k01(x)
+    assert np.max(np.abs(K0 / k0(x) - 1.0)) <= 5e-15
+    assert np.max(np.abs(K1 / k1(x) - 1.0)) <= 5e-15
+
+
+def test_bessel_k01_matches_mpmath():
+    mp.mp.dps = 30
+    x = np.concatenate([np.geomspace(1e-6, 600.0, 60), _K_EDGES])
+    K0, K1 = _bessel_k01(x)
+    for xi, a0, a1 in zip(x, K0, K1):
+        ref0, ref1 = (float(mp.besselk(n, mp.mpf(float(xi)))) for n in (0, 1))
+        assert abs(a0 / ref0 - 1.0) <= 2e-15 and abs(a1 / ref1 - 1.0) <= 2e-15, xi
+
+
+def test_bessel_k01_shapes_and_underflow():
+    K0, K1 = _bessel_k01(2.0)
+    assert np.ndim(K0) == np.ndim(K1) == 0
+    x = np.geomspace(0.1, 50.0, 24).reshape(2, 3, 4)
+    K0, K1 = _bessel_k01(x)
+    assert K0.shape == K1.shape == (2, 3, 4)
+    flat = _bessel_k01(x.ravel())
+    assert np.array_equal(K0.ravel(), flat[0]) and np.array_equal(K1.ravel(), flat[1])
+    K0, K1 = _bessel_k01(np.array([750.0, 1e4, np.inf]))
+    assert np.all(K0 == 0.0) and np.all(K1 == 0.0)
+
+
+def test_bulk_plane_kernel_rejects_one_coincident_point_in_a_batch():
+    dx = RNG.normal(size=(5, 2))
+    dx[3] = 0.0
+    with pytest.raises(DiagonalKernelError):
+        bulk_plane_kernel(1.0, dx)

@@ -4,7 +4,13 @@ from scipy.special import k0, k1
 
 from dirac_edge import edge_kernel
 from dirac_edge.closed_form import bulk_plane_kernel
-from dirac_edge.core import BoundaryParam, DiagonalKernelError, QuadratureError, sup_norm
+from dirac_edge.core import (
+    BoundaryParam,
+    ContourError,
+    DiagonalKernelError,
+    QuadratureError,
+    sup_norm,
+)
 from dirac_edge.edge_kernel import (
     ContourConfig,
     edge_F_batch,
@@ -165,6 +171,13 @@ def test_contour_sum_rejects_angle_past_the_pole():
     # right up to the boundary line the same check stays silent
     theta = np.array([-np.pi / 2 + 1e-12, np.pi / 2 - 1e-12])
     assert np.all(np.isfinite(edge_kernel._contour_sum(2.0, np.array([0.5, 0.5]), theta, 0.3, 0)))
+
+
+def test_contour_failure_has_a_package_type():
+    # the CLI maps the package's RuntimeError types to exit code 3
+    with pytest.raises(ContourError, match="safety bound") as exc:
+        edge_kernel._contour_sum(1.0, np.array([1.0]), np.array([np.pi / 2 + 0.45]), 0.3, 0)
+    assert isinstance(exc.value, RuntimeError)
 
 
 def test_small_epsilon_near_the_boundary_line(monkeypatch):
