@@ -47,6 +47,15 @@ class ConfigError(Exception):
     """Raised for any problem with the config document (exit code 2)."""
 
 
+# the package's numerical failure types (exit code 3) and their message prefixes
+_EXIT_3_PREFIX = {
+    QuadratureError: "numerical non-convergence",
+    EigensolverError: "eigensolver failure",
+    ContourError: "contour failure",
+    BranchMatchingError: "branch matching failure",
+}
+
+
 def _fmt(v):
     if isinstance(v, (int, np.integer)):
         return str(int(v))
@@ -275,11 +284,12 @@ def _exp_bulk_edge(cfg):
     rows = []
     meta = {"rho_L": {}}
     for b in bs:
+        windows = [gap_window(b, int(nb), int(na)) for nb, na in gaps]
+        # the bulk IDS does not depend on gamma: one derivative per (b, gap)
+        tpis = [2.0 * np.pi * ids_derivative(b, w) for w in windows]
         for g in gs:
-            for nb, na in gaps:
-                w = gap_window(b, int(nb), int(na))
+            for (nb, na), w, tpi in zip(gaps, windows, tpis):
                 cond = edge_conductance(g, b, w, 0.5 * (w.e3 + w.e4), xi_range)
-                tpi = 2.0 * np.pi * ids_derivative(b, w)
                 rows.append([b, g, int(nb), int(na), cond, tpi, abs(tpi - round(tpi))])
     if Ls:
         b, g = bs[0], gs[0]
@@ -419,8 +429,9 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (QuadratureError, EigensolverError, ContourError, BranchMatchingError) as e:
-        print(f"numerical non-convergence: {e}", file=sys.stderr)
+    except tuple(_EXIT_3_PREFIX) as e:
+        prefix = next(p for t, p in _EXIT_3_PREFIX.items() if isinstance(e, t))
+        print(f"{prefix}: {e}", file=sys.stderr)
         return 3
     print(csv_path)
     return 0

@@ -114,12 +114,16 @@ class FiberDiscretization:
         return E, psi
 
 
-# bisection tolerance of _window_eigh: it sets only the shifts of inverse
-# iteration; the Rayleigh-Ritz step makes the eigenvalues exact to rounding
-_BISECT_TOL = 1e-4
+# bisection tolerance of _window_eigh: it sets the shifts of inverse iteration
+# and with them the eigenvector error (the Rayleigh-Ritz step makes the
+# eigenvalues exact to rounding); on the orbit-window whole-line fibers of
+# criterion 12 (b = 1, |E| <= 1.2) the node densities |v|^2 stay within 4e-16
+# of a full-precision eigensolver's, where at 1e-4 they were 2.1e-13 off
+_BISECT_TOL = 1e-5
 # largest Ritz residual |T v - E v| that _window_eigh accepts, relative to
 # max|T|: at _BISECT_TOL the edge-density fibers (gap (1, 1), gamma 0.5 and 2)
-# reach 9e-14; at tolerances 1e-3, 1e-2 and 1e-1 they reach 4e-10, 2e-7, 1e-4
+# reach 2.4e-15 max|T|; at tolerances 1e-4 and 1e-3, 1.9e-14 and 2.6e-10, and
+# at 1e-2 they fail the check
 _RESIDUAL_TOL = 1e-9
 
 
@@ -200,15 +204,18 @@ def discretize_fiber(gamma, xi, b, h=None, T_dom=None, whole_line=False):
         if T_dom < needed - 1e-12:
             raise ValueError(f"domain too small for xi={xi}: need T_dom >= {needed:.3f}")
         t0 = 0.0
-    if h is None:
-        h = min(1.0 / 48, 0.09 / (b * T_dom))
-    h = float(h)
+    h = _default_step(b, T_dom) if h is None else float(h)
     if b * T_dom * h >= 0.1:
         raise ValueError(
             f"grid too coarse: b*T_dom*h = {b * T_dom * h:.3f} >= 0.1; decrease h"
         )
     g = None if whole_line else _gamma_value(gamma)
     return _assemble(g, xi, b, h, T_dom, t0)
+
+
+def _default_step(b, T_dom):
+    """discretize_fiber's default step: the coarsest with b*T_dom*h < 0.1."""
+    return min(1.0 / 48, 0.09 / (b * T_dom))
 
 
 def _gamma_value(gamma):
@@ -238,6 +245,27 @@ def _assemble(g, xi, b, h, T_dom, t0=0.0):
     diag[0] = g * (2.0 * c - b * h / 2.0)
     off[0] *= np.sqrt(2.0)
     return FiberDiscretization(h, T_dom, g, xi, b, diag, off, t)
+
+
+def _orbit_fiber(g, xi, b, h, t0, T_dom):
+    """The fiber on the nodes t0 + j h (0 <= j h <= T_dom) that lie in the
+    orbit window of xi, with c = -xi/b its orbit centre and span = 6/sqrt(b):
+    [max(0, c - span), max(c, 0) + span] on the half line (g not None, t0 = 0),
+    [c - span, c + span] on the whole line (g None).  A low Landau-level
+    state's density falls like e^(-b (t - c)^2), to about e^(-36) one span
+    from c, and an edge state's one span past the edge, so the window keeps
+    every state of the energy windows used here.  The gamma boundary row
+    enters only when the window starts at node 0; a half-line window away
+    from the edge is assembled as a whole line.  Returns (fib, k0), k0 the
+    index of the window's first node on the grid t0 + j h."""
+    span, c = _span(b), -xi / b
+    if g is None:
+        lo, hi = c - span, c + span
+    else:
+        lo, hi = max(0.0, c - span), max(c, 0.0) + span
+    k0 = max(0, int(np.ceil((lo - t0) / h)))
+    k1 = min(int(round(T_dom / h)), int(np.floor((hi - t0) / h)))
+    return _assemble(g if k0 == 0 else None, xi, b, h, (k1 - k0) * h, t0 + k0 * h), k0
 
 
 def landau_levels(b, n_max, h=None, T_dom=None):
@@ -362,19 +390,20 @@ def gap_window(b, n_below, n_above):
     return GapWindow(e1, e2, e3, e4)
 
 
-def _count_below(diag, off, e):
-    """Number of eigenvalues below e of the symmetric tridiagonal (diag, off):
-    the negative pivots of its LDL^T factorization minus e (a Sturm count).
-    A pivot that is exactly zero is replaced by -pivmin, as in LAPACK dstebz."""
-    off2 = (np.asarray(off) ** 2).tolist()
-    pivmin = np.finfo(float).tiny * max([1.0] + off2)
-    count, d = 0, 1.0
-    for a, o2 in zip(np.asarray(diag).tolist(), [0.0] + off2):
-        d = (a - e) - o2 / d
-        if abs(d) <= pivmin:
-            d = -pivmin
-        count += d < 0.0
-    return count
+def _count_in(diag, off, lo, hi):
+    """Number of eigenvalues in (lo, hi] of the symmetric tridiagonal
+    (diag, off): the exact Sturm count N(hi) - N(lo) of LAPACK dstebz, whose
+    absolute tolerance hi - lo spares it any bisection.  dstebz's wrapper
+    rejects n = 1, whose one eigenvalue is diag[0]."""
+    if np.size(diag) == 1:
+        return int(lo < diag[0] <= hi)
+    # imported here so that the package and its kernel layers load without scipy
+    from scipy.linalg import lapack
+
+    m, *_, info = lapack.dstebz(diag, off, 1, lo, hi, 0, 0, hi - lo, "B")
+    if info != 0:
+        raise EigensolverError(f"dstebz failed on ({lo}, {hi}] (info {info})")
+    return int(m)
 
 
 def edge_conductance(gamma, b, window, e, xi_range):
@@ -386,7 +415,9 @@ def edge_conductance(gamma, b, window, e, xi_range):
     number of edge branches entering the plateau window, an integer
     independent of e within the gap.  The fibers at both ends of xi_range
     share one domain and so one dimension: the flow through an energy is
-    N(e, xi_lo) - N(e, xi_hi), N the number of eigenvalues below e.
+    N(e, xi_lo) - N(e, xi_hi), N the number of eigenvalues below e, so the
+    result is the count of either end fiber's eigenvalues in (e_low, e_up],
+    the lower end's minus the upper end's.
     """
     if window.e1 <= e <= window.e2:
         e_low, e_up = e, 0.5 * (window.e3 + window.e4)
@@ -396,8 +427,7 @@ def edge_conductance(gamma, b, window, e, xi_range):
         raise ValueError(f"energy {e} is not inside a gap of the window")
     lo, hi = (discretize_fiber(gamma, xi, b, T_dom=_shared_T_dom(b, xi_range))
               for xi in xi_range)
-    flow = lambda en: _count_below(lo.diag, lo.off, en) - _count_below(hi.diag, hi.off, en)
-    return flow(e_up) - flow(e_low)
+    return _count_in(lo.diag, lo.off, e_low, e_up) - _count_in(hi.diag, hi.off, e_low, e_up)
 
 
 def bulk_ids(b, window):
@@ -473,10 +503,12 @@ def _diagonal_density(fib, F):
 
 def _momentum_integral(integrand, b, depth, floor):
     """Riemann sum over xi in [-b (depth + span), b span], span = 6/sqrt(b), of
-    integrand(xi, T_dom), where T_dom, the half-line domain the integrand's
-    fibers take at xi, reaches two spans past depth and one past the orbit
-    centre -xi/b; the range grows by b span at both ends until
-    core._converge accepts the total (the given floor), else QuadratureError."""
+    integrand(xi, T_dom), where T_dom, the half-line grid the integrand's
+    fibers are cut from at xi, reaches two spans past depth and one past the
+    orbit centre -xi/b (the integrands solve only the grid's nodes in the
+    orbit window of _orbit_fiber); the range grows by b span at both ends
+    until core._converge accepts the total (the given floor), else
+    QuadratureError."""
     dxi = _XI_STEP * np.sqrt(b)
     span = _span(b)
 
@@ -519,13 +551,17 @@ def edge_density_rho(gamma, b, F, L):
     the largest serves all, the t-integral ending exactly at each L.
 
     Each fiber is solved at the steps h = _FIBER_STEP/sqrt(b) and h/2 on the
-    same domain (each eigenstate in the window lives within 6/sqrt(b) of its
-    orbit centre or the edge, so h follows the magnetic length, not the
-    domain); the xi-integral of _momentum_integral (floor 1) converges both,
-    and the result is the Richardson value (4 rho(h/2) - rho(h))/3.  Its
-    measured step error |rho(h/2) - rho(h)|/3 must stay below _TAIL_TOL
-    relative to the xi-integrated total (floor 1), else QuadratureError
-    carrying the rho(h/2) and rho(h) values as last and previous.
+    nodes j h of its orbit window [max(0, c - span), max(c, 0) + span],
+    c = -xi/b and span = 6/sqrt(b) (_orbit_fiber: each eigenstate in the
+    energy window lives within one span of its orbit centre or the edge, so h
+    follows the magnetic length, not the domain); a window that starts at
+    node k0 > 0 has no boundary row and its density meets the strip weights
+    from node k0 on.  The xi-integral of _momentum_integral (floor 1)
+    converges both, and the result is the Richardson value
+    (4 rho(h/2) - rho(h))/3.  Its measured step error |rho(h/2) - rho(h)|/3
+    must stay below _TAIL_TOL relative to the xi-integrated total (floor 1),
+    else QuadratureError carrying the rho(h/2) and rho(h) values as last and
+    previous.
     """
     Ls = np.asarray(L, dtype=float).ravel()
     if not np.all(np.isfinite(Ls) & (Ls > 0.0)):
@@ -535,11 +571,14 @@ def edge_density_rho(gamma, b, F, L):
     weights = [[_strip_weights(step, Lk) for Lk in Ls] for step in steps]
 
     def integrand(xi, T_dom):
-        # one solve per step; every L reads the same density
+        # one solve per step; every L reads the same density from node k0
         out = np.empty((2, Ls.size))
         for i, step in enumerate(steps):
-            dens = _diagonal_density(_assemble(g, xi, b, step, T_dom), F)
-            out[i] = [w @ dens[: w.size] for w in weights[i]]
+            fib, k0 = _orbit_fiber(g, xi, b, step, 0.0, T_dom)
+            dens = _diagonal_density(fib, F)
+            for k, w in enumerate(weights[i]):
+                w = w[k0 : k0 + dens.size]
+                out[i, k] = w @ dens[: w.size]
         return out
 
     total, _ = _momentum_integral(integrand, b, float(np.max(Ls)), 1.0)
@@ -560,16 +599,27 @@ def edge_bulk_diagonal_gap(F, gamma, b, x2_grid):
     half-line and whole-line fibers respectively (F as in edge_density_rho;
     xi-integral of _momentum_integral, floor 1e-6); the difference decays
     faster than any power of x2 when F' is supported in bulk spectral gaps.
+
+    Each fiber keeps discretize_fiber's default grid at xi, the half line on
+    [0, T_dom] and the whole line on 2 (|xi/b| + max x2 + span) about the
+    orbit centre c = -xi/b, and is solved only on that grid's nodes in its
+    orbit window (_orbit_fiber): [max(0, c - span), max(c, 0) + span] and
+    [c - span, c + span], span = 6/sqrt(b).  Its density is read at x2 by
+    linear interpolation and is 0 outside the window.
     """
     x2_grid = np.asarray(x2_grid, dtype=float)
     xmax = float(np.max(x2_grid))
+    b, g = _flux(b), _gamma_value(gamma)
+
+    def at_x2(fib):
+        return np.interp(x2_grid, fib.grid, _diagonal_density(fib, F), left=0.0, right=0.0)
 
     def integrand(xi, T_dom):
-        fib_e = discretize_fiber(gamma, xi, b, T_dom=T_dom)
         T_bulk = 2 * (abs(xi / b) + xmax + _span(b))
-        fib_b = discretize_fiber(None, xi, b, T_dom=T_bulk, whole_line=True)
-        return (np.interp(x2_grid, fib_e.grid, _diagonal_density(fib_e, F))
-                - np.interp(x2_grid, fib_b.grid, _diagonal_density(fib_b, F)))
+        fib_e, _ = _orbit_fiber(g, xi, b, _default_step(b, T_dom), 0.0, T_dom)
+        fib_b, _ = _orbit_fiber(None, xi, b, _default_step(b, T_bulk), -xi / b - T_bulk / 2.0,
+                                T_bulk)
+        return at_x2(fib_e) - at_x2(fib_b)
 
     total, _ = _momentum_integral(integrand, b, xmax, 1e-6)
     return total / (2.0 * np.pi)

@@ -119,10 +119,13 @@ class SchwartzFunction:
                 out = np.zeros_like(u)
                 if j == 0:
                     out[(u >= e2) & (u <= e3)] = 1.0
+                # each flank's polynomial only where some u falls on it
                 m = (u > e1) & (u < e2)
-                out[m] = rise[j]((u[m] - e1) / wu) / wu**j
+                if m.any():
+                    out[m] = rise[j]((u[m] - e1) / wu) / wu**j
                 m = (u > e3) & (u < e4)
-                out[m] = (-1.0) ** j * rise[j]((e4 - u[m]) / wd) / wd**j
+                if m.any():
+                    out[m] = (-1.0) ** j * rise[j]((e4 - u[m]) / wd) / wd**j
                 return out
 
             return f

@@ -124,7 +124,9 @@ def test_eigensolver_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
         "t_values": [0.5], "tprime_values": [1.0], "T_dom": 6.0,
     })
     assert main(["run", path]) == 3
-    assert "Ritz residual" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("eigensolver failure:") and "Ritz residual" in err
+    assert "non-convergence" not in err
     assert not (tmp_path / "f.csv").exists()
 
 
@@ -140,7 +142,9 @@ def test_contour_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     path = _write_cfg(tmp_path, {"experiment": "kernel-grid", "output": str(tmp_path / "kg"),
                                  "gamma": 1.0, "lam": 1.0, "n": 3})
     assert main(["run", path]) == 3
-    assert "safety bound" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("contour failure:") and "safety bound" in err
+    assert "non-convergence" not in err
     assert not (tmp_path / "kg.csv").exists()
 
 
@@ -151,7 +155,9 @@ def test_branch_matching_failure_maps_to_exit_3(tmp_path, capsys):
         "gamma": 1.0, "b": 1.0, "xi_range": [-8.0, 2.0], "n_xi": 12, "n_branches": 3,
     })
     assert main(["run", path]) == 3
-    assert "branch matching failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("branch matching failure:") and "branch matching failed" in err
+    assert "non-convergence" not in err
     assert not (tmp_path / "d.csv").exists()
 
 

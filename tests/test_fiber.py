@@ -7,7 +7,7 @@ from dirac_edge import fiber, hs_calculus
 from dirac_edge.core import EigensolverError, SpectralPoint
 from dirac_edge.fiber import (
     GapWindow,
-    _count_below,
+    _count_in,
     _window_eigh,
     assembled_bulk_diagonal,
     bulk_ids,
@@ -158,9 +158,10 @@ def _branch_conductance(dispersion, window):
             - _spectral_flow(dispersion, 0.5 * (window.e1 + window.e2)))
 
 
-def _eigh_count(diag, off, e):
-    return len(eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
-                                select_range=(-np.inf, e)))
+def _eigh_count(diag, off, lo, hi):
+    """Oracle: eigenvalues in (lo, hi] from the full spectrum."""
+    E = eigh_tridiagonal(diag, off, eigvals_only=True)
+    return int(np.sum((E > lo) & (E <= hi)))
 
 
 def test_sturm_count_matches_eigensolver():
@@ -177,8 +178,9 @@ def test_sturm_count_matches_eigensolver():
         picks = RNG.choice(iso, size=min(4, len(iso)), replace=False)
         energies = np.concatenate([picks - 1e-8, picks + 1e-8,
                                    RNG.uniform(E[0] - 1.0, E[-1] + 1.0, 3)])
-        for e in energies:
-            assert _count_below(diag, off, e) == _eigh_count(diag, off, e)
+        for lo in energies:
+            for hi in energies[energies > lo]:
+                assert _count_in(diag, off, lo, hi) == _eigh_count(diag, off, lo, hi)
 
 
 def test_sturm_count_exact_zero_pivot():
@@ -189,11 +191,11 @@ def test_sturm_count_exact_zero_pivot():
         diag = RNG.integers(-2, 3, size=n).astype(float)
         off = RNG.choice([-1.0, 1.0, 2.0], size=n - 1)
         E = eigh_tridiagonal(diag, off, eigvals_only=True)
-        for e in (-1.0, 0.0, 1.0):
-            if np.min(np.abs(E - e)) < 1e-9:
+        for lo, hi in ((-1.0, 0.0), (0.0, 1.0), (-1.0, 1.0)):
+            if min(np.min(np.abs(E - lo)), np.min(np.abs(E - hi))) < 1e-9:
                 continue
-            hits += diag[0] == e
-            assert _count_below(diag, off, e) == _eigh_count(diag, off, e)
+            hits += diag[0] in (lo, hi)
+            assert _count_in(diag, off, lo, hi) == _eigh_count(diag, off, lo, hi)
     assert hits > 0
 
 
@@ -312,25 +314,38 @@ def test_edge_density_rejects_strip_widths():
             edge_density_rho(1.0, 1.0, F, L)
 
 
-def _edge_density_rho_inline_loop(g, b, F, L):
+def _edge_density_rho_inline_loop(g, b, F, L, window=True):
     """Reference: edge_density_rho with its own copy of the xi-tail loop:
-    each xi solved at the steps h and h/2, then the Richardson value."""
+    each xi solved at the steps h and h/2, then the Richardson value.  With
+    window=True each fiber keeps the nodes j*step of its orbit window
+    [max(0, c - span), max(c, 0) + span], c = -xi/b, with the boundary row
+    only when the window starts at node 0; with window=False it is solved on
+    the whole domain [0, max(L + 2 span, c + span)]."""
     dxi, span = 0.1 * np.sqrt(b), 6.0 / np.sqrt(b)
     h = (1.0 / 48) / np.sqrt(b)
     T_dom = L + 2 * span
 
     def strip(step, xi):
-        fib = fiber._assemble(g, xi, b, step, max(T_dom, -xi / b + span))
+        T = max(T_dom, -xi / b + span)
+        if window:
+            c = -xi / b
+            k0 = max(0, int(np.ceil(max(0.0, c - span) / step)))
+            k1 = min(int(round(T / step)), int(np.floor((max(c, 0.0) + span) / step)))
+            fib = fiber._assemble(g if k0 == 0 else None, xi, b, step, (k1 - k0) * step,
+                                  k0 * step)
+        else:
+            k0, fib = 0, fiber._assemble(g, xi, b, step, T)
         E, psi = fib.eigensystem(emin=-F.support_max, emax=F.support_max)
         dens = np.einsum("tse,e->t", np.abs(psi) ** 2, np.asarray(F(E))) / step
         m = int(L / step)
         s = L / step - m
         # trapezoid rule to the last node t_m <= L, then the linear
-        # interpolant of t_m and t_(m+1) over [t_m, L]
+        # interpolant of t_m and t_(m+1) over [t_m, L]; node k0 is dens[0]
         w = np.full(m + 2, step)
         w[0] = step / 2.0
         w[m], w[m + 1] = step * (0.5 + s - s * s / 2.0), step * s * s / 2.0
-        return w @ dens[: m + 2]
+        w = w[k0 : k0 + dens.size]
+        return w @ dens[: w.size]
 
     def integrand(xi):
         return np.array([[strip(h, xi)], [strip(h / 2.0, xi)]])
@@ -359,6 +374,26 @@ def test_edge_density_shared_tail_loop_is_bit_identical():
     w = gap_window(1.0, 0, 0)
     F = _window_function(w)
     assert edge_density_rho(1.0, 1.0, F, 4.0) == _edge_density_rho_inline_loop(1.0, 1.0, F, 4.0)
+
+
+def test_edge_density_orbit_window_matches_full_domain(monkeypatch):
+    # the orbit-window fibers against the whole-domain fibers they are cut
+    # from: the states left out have density below e^-36; some fibers start
+    # their window past the edge (k0 > 0) and some at it (boundary row)
+    k0s, orbit_fiber = [], fiber._orbit_fiber
+
+    def recording(*args):
+        fib, k0 = orbit_fiber(*args)
+        k0s.append(k0)
+        return fib, k0
+
+    monkeypatch.setattr(fiber, "_orbit_fiber", recording)
+    for b, g, gap in ((0.5, 1.0, (0, 0)), (2.0, 0.5, (1, 1)), (1.0, 2.0, (1, 1))):
+        F = _plateau(gap_window(b, *gap))
+        rho = edge_density_rho(g, b, F, 4.0)
+        ref = _edge_density_rho_inline_loop(g, b, F, 4.0, window=False)
+        assert abs(rho - ref) <= 1e-12 * max(1.0, abs(ref))
+    assert 0 in k0s and max(k0s) > 0
 
 
 def _assert_window_eigh_matches_oracle(diag, off, emin, emax):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from dirac_edge import fiber
 from dirac_edge.core import QuadratureError, gauss_legendre_panels
 from dirac_edge.fiber import discretize_fiber, edge_bulk_diagonal_gap
 from dirac_edge.hs_calculus import (
@@ -187,8 +188,13 @@ def test_hs_block_diagonal_matrix():
     assert np.max(np.abs(out - (V * F(E)) @ V.conj().T)) < 1e-6
 
 
-def _edge_bulk_gap_inline_loop(F, g, b, x2_grid):
-    """Reference: edge_bulk_diagonal_gap with its own copy of the xi-tail loop."""
+def _edge_bulk_gap_inline_loop(F, g, b, x2_grid, window=True):
+    """Reference: edge_bulk_diagonal_gap with its own copy of the xi-tail loop.
+    With window=True each fiber keeps the nodes of discretize_fiber's grid
+    that lie in its orbit window (c = -xi/b): [max(0, c - span), max(c, 0) +
+    span] on the half line, with the boundary row only when the window starts
+    at node 0, and [c - span, c + span] on the whole line; the density is 0
+    outside.  With window=False the fibers are discretize_fiber's own."""
     dxi, span = 0.1 * np.sqrt(b), 6.0 / np.sqrt(b)
     xmax = float(np.max(x2_grid))
 
@@ -197,12 +203,23 @@ def _edge_bulk_gap_inline_loop(F, g, b, x2_grid):
         if E.size == 0:
             return np.zeros(x2_grid.size)
         dens = np.einsum("tse,e->t", np.abs(psi) ** 2, np.asarray(F(E))) / fib.h
-        return np.interp(x2_grid, fib.grid, dens)
+        return np.interp(x2_grid, fib.grid, dens, left=0.0, right=0.0)
+
+    def cut(fib, lo, hi):
+        k0 = max(0, int(np.ceil((lo - fib.grid[0]) / fib.h)))
+        k1 = min(fib.grid.size - 1, int(np.floor((hi - fib.grid[0]) / fib.h)))
+        g_cut = fib.gamma if k0 == 0 else None
+        return fiber._assemble(g_cut, fib.xi, b, fib.h, (k1 - k0) * fib.h,
+                               fib.grid[0] + k0 * fib.h)
 
     def integrand(xi):
         fib_e = discretize_fiber(g, xi, b, T_dom=max(xmax + 2 * span, -xi / b + span))
         T_bulk = 2 * (abs(xi / b) + xmax + span)
         fib_b = discretize_fiber(None, xi, b, T_dom=T_bulk, whole_line=True)
+        if window:
+            c = -xi / b
+            fib_e = cut(fib_e, max(0.0, c - span), max(c, 0.0) + span)
+            fib_b = cut(fib_b, c - span, c + span)
         return density(fib_e) - density(fib_b)
 
     lo, hi = -b * (xmax + span), b * span
@@ -225,6 +242,15 @@ def test_edge_bulk_gap_shared_tail_loop_is_bit_identical():
     x2 = np.array([0.5, 2.0])
     assert np.array_equal(edge_bulk_diagonal_gap(F, 1.0, 1.0, x2),
                           _edge_bulk_gap_inline_loop(F, 1.0, 1.0, x2))
+
+
+def test_edge_bulk_gap_orbit_window_matches_full_domain():
+    # the orbit-window fibers against discretize_fiber's whole-domain fibers
+    F = SchwartzFunction.plateau(-1.2, -0.2, 0.2, 1.2)
+    x2 = np.array([0.5, 2.0])
+    ref = _edge_bulk_gap_inline_loop(F, 1.0, 1.0, x2, window=False)
+    assert np.all(np.abs(edge_bulk_diagonal_gap(F, 1.0, 1.0, x2) - ref)
+                  <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_fiber_kernel_routes_agree():
