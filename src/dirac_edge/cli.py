@@ -256,10 +256,13 @@ def _exp_edge_bulk_gap(cfg):
     x2 = np.asarray(cfg.get("x2_values", [0.2, 2.0, 3.0, 4.0, 6.0, 8.0]), float)
     d = edge_bulk_diagonal_gap(F, g, b, x2)
     rows = [[x2[i], d[i]] for i in range(x2.size)]
+    # the decay slope over x2 >= 2; null when fewer than two points fit it
     sel = x2 >= 2.0
-    slope = np.polyfit(np.log(x2[sel]),
-                       np.log(np.maximum(np.abs(d[sel]), 1e-300)), 1)[0]
-    return ["x2", "difference"], rows, {"loglog_slope": float(slope)}
+    slope = None
+    if np.count_nonzero(sel) >= 2:
+        slope = float(np.polyfit(np.log(x2[sel]),
+                                 np.log(np.maximum(np.abs(d[sel]), 1e-300)), 1)[0])
+    return ["x2", "difference"], rows, {"loglog_slope": slope}
 
 
 def _exp_dispersion(cfg):

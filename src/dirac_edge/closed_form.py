@@ -12,8 +12,8 @@ import numpy as np
 
 from .core import (
     SIGMA_1,
-    BoundaryParam,
     DiagonalKernelError,
+    _gamma_value,
     bracket_xi,
 )
 
@@ -32,14 +32,14 @@ def alpha(gamma, xi):
 
     alpha = (gamma + i(<xi> + xi)) / (1 + i gamma (<xi> + xi)).  Vectorized in xi.
     """
-    g = gamma.gamma if isinstance(gamma, BoundaryParam) else BoundaryParam(gamma).gamma
+    g = _gamma_value(gamma)
     s = bracket_xi(xi) + np.asarray(xi, dtype=float)
     return (g + 1j * s) / (1.0 + 1j * g * s)
 
 
 def beta_coeffs(gamma, xi):
     """Boundary-matching coefficients (beta1, beta2) with beta1 = -gamma*beta2."""
-    g = gamma.gamma if isinstance(gamma, BoundaryParam) else BoundaryParam(gamma).gamma
+    g = _gamma_value(gamma)
     s = bracket_xi(xi) + np.asarray(xi, dtype=float)
     denom = 1.0 + 1j * s * g
     return g / denom, -1.0 / denom

@@ -109,6 +109,11 @@ class BoundaryParam:
         object.__setattr__(self, "gamma", g)
 
 
+def _gamma_value(gamma):
+    """The checked boundary coupling as a float (gamma may be a BoundaryParam)."""
+    return gamma.gamma if isinstance(gamma, BoundaryParam) else BoundaryParam(gamma).gamma
+
+
 @dataclass(frozen=True)
 class SpectralPoint:
     """Complex energy z = u + i v with v != 0."""

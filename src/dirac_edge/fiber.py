@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    BoundaryParam,
     BranchMatchingError,
     EigensolverError,
     QuadratureError,
     _converge,
+    _gamma_value,
 )
 
 __all__ = [
@@ -168,10 +168,10 @@ def _window_eigh(diag, off, emin, emax):
 
 
 def _flux(b):
-    """The flux density b as a float, checked positive."""
+    """The flux density b as a float, checked finite and positive."""
     b = float(b)
-    if b <= 0:
-        raise ValueError(f"flux density b must be positive, got {b}")
+    if not (np.isfinite(b) and b > 0.0):
+        raise ValueError(f"flux density b must be finite and positive, got {b}")
     return b
 
 
@@ -218,11 +218,6 @@ def _default_step(b, T_dom):
     return min(1.0 / 48, 0.09 / (b * T_dom))
 
 
-def _gamma_value(gamma):
-    """The checked boundary coupling as a float (gamma may be a BoundaryParam)."""
-    return gamma.gamma if isinstance(gamma, BoundaryParam) else BoundaryParam(gamma).gamma
-
-
 def _assemble(g, xi, b, h, T_dom, t0=0.0):
     """Staggered tridiagonal fiber on nodes t0 + j h spanning T_dom, taken as
     given: g is the checked boundary coupling (None = whole line, no boundary)."""
@@ -247,25 +242,19 @@ def _assemble(g, xi, b, h, T_dom, t0=0.0):
     return FiberDiscretization(h, T_dom, g, xi, b, diag, off, t)
 
 
-def _orbit_fiber(g, xi, b, h, t0, T_dom):
-    """The fiber on the nodes t0 + j h (0 <= j h <= T_dom) that lie in the
-    orbit window of xi, with c = -xi/b its orbit centre and span = 6/sqrt(b):
-    [max(0, c - span), max(c, 0) + span] on the half line (g not None, t0 = 0),
-    [c - span, c + span] on the whole line (g None).  A low Landau-level
-    state's density falls like e^(-b (t - c)^2), to about e^(-36) one span
-    from c, and an edge state's one span past the edge, so the window keeps
-    every state of the energy windows used here.  The gamma boundary row
-    enters only when the window starts at node 0; a half-line window away
-    from the edge is assembled as a whole line.  Returns (fib, k0), k0 the
-    index of the window's first node on the grid t0 + j h."""
+def _orbit_fiber(g, xi, b, h):
+    """The half-line fiber on the nodes j h (j >= 0) that lie in the orbit
+    window of xi, [max(0, c - span), max(c, 0) + span] with c = -xi/b its
+    orbit centre and span = 6/sqrt(b).  A low Landau-level state's density
+    falls like e^(-b (t - c)^2), to about e^(-36) one span from c, and an edge
+    state's one span past the edge, so the window keeps every state of the
+    energy windows used here.  The gamma boundary row enters only when the
+    window starts at node 0; a window away from the edge is assembled as a
+    whole line.  Returns (fib, k0), k0 the index of the window's first node."""
     span, c = _span(b), -xi / b
-    if g is None:
-        lo, hi = c - span, c + span
-    else:
-        lo, hi = max(0.0, c - span), max(c, 0.0) + span
-    k0 = max(0, int(np.ceil((lo - t0) / h)))
-    k1 = min(int(round(T_dom / h)), int(np.floor((hi - t0) / h)))
-    return _assemble(g if k0 == 0 else None, xi, b, h, (k1 - k0) * h, t0 + k0 * h), k0
+    k0 = int(np.ceil(max(0.0, c - span) / h))
+    k1 = int(np.floor((max(c, 0.0) + span) / h))
+    return _assemble(g if k0 == 0 else None, xi, b, h, (k1 - k0) * h, k0 * h), k0
 
 
 def landau_levels(b, n_max, h=None, T_dom=None):
@@ -503,18 +492,14 @@ def _diagonal_density(fib, F):
 
 def _momentum_integral(integrand, b, depth, floor):
     """Riemann sum over xi in [-b (depth + span), b span], span = 6/sqrt(b), of
-    integrand(xi, T_dom), where T_dom, the half-line grid the integrand's
-    fibers are cut from at xi, reaches two spans past depth and one past the
-    orbit centre -xi/b (the integrands solve only the grid's nodes in the
-    orbit window of _orbit_fiber); the range grows by b span at both ends
-    until core._converge accepts the total (the given floor), else
-    QuadratureError."""
+    integrand(xi): orbit centres -xi/b from depth + span down to -span.  The
+    range grows by b span at both ends until core._converge accepts the total
+    (the given floor), else QuadratureError."""
     dxi = _XI_STEP * np.sqrt(b)
     span = _span(b)
 
     def part(xis):
-        return np.sum([integrand(x, max(depth + 2 * span, -x / b + span)) for x in xis],
-                      axis=0)
+        return np.sum([integrand(x) for x in xis], axis=0)
 
     def totals(lo, hi, step):
         total = part(np.arange(lo, hi + dxi / 2, dxi)) * dxi
@@ -570,11 +555,11 @@ def edge_density_rho(gamma, b, F, L):
     steps = (_FIBER_STEP / np.sqrt(b), _FIBER_STEP / np.sqrt(b) / 2.0)
     weights = [[_strip_weights(step, Lk) for Lk in Ls] for step in steps]
 
-    def integrand(xi, T_dom):
+    def integrand(xi):
         # one solve per step; every L reads the same density from node k0
         out = np.empty((2, Ls.size))
         for i, step in enumerate(steps):
-            fib, k0 = _orbit_fiber(g, xi, b, step, 0.0, T_dom)
+            fib, k0 = _orbit_fiber(g, xi, b, step)
             dens = _diagonal_density(fib, F)
             for k, w in enumerate(weights[i]):
                 w = w[k0 : k0 + dens.size]
@@ -596,33 +581,38 @@ def edge_bulk_diagonal_gap(F, gamma, b, x2_grid):
     """Difference of edge and bulk diagonals of F(D_b) at x = (x1, x2).
 
     Both diagonals are (1/2pi) int tr F(fiber_xi)(x2, x2) dxi with the
-    half-line and whole-line fibers respectively (F as in edge_density_rho;
-    xi-integral of _momentum_integral, floor 1e-6); the difference decays
-    faster than any power of x2 when F' is supported in bulk spectral gaps.
+    half-line and whole-line fibers respectively (F as in edge_density_rho);
+    the difference decays faster than any power of x2 when F' is supported
+    in bulk spectral gaps.  x2_grid holds finite x2 >= 0, else ValueError.
 
-    Each fiber keeps discretize_fiber's default grid at xi, the half line on
-    [0, T_dom] and the whole line on 2 (|xi/b| + max x2 + span) about the
-    orbit centre c = -xi/b, and is solved only on that grid's nodes in its
-    orbit window (_orbit_fiber): [max(0, c - span), max(c, 0) + span] and
-    [c - span, c + span], span = 6/sqrt(b).  Its density is read at x2 by
-    linear interpolation and is 0 outside the window.
+    Every fiber lives on the lattice j h with one step,
+    h = discretize_fiber's default for the half-line domain max x2 + 2 span,
+    span = 6/sqrt(b).  Each half-line fiber is solved only on its orbit
+    window (_orbit_fiber), its density read at x2 by linear interpolation
+    and 0 outside the window, and integrated over xi by _momentum_integral
+    (floor 1e-6).  The whole-line fiber at xi is the one at 0 translated by
+    -xi/b, so the bulk diagonal is the constant (b/2pi) int tr F(H_0)(t, t)
+    dt: one whole-line fiber at xi = 0 on the nodes -k h .. k h,
+    k = floor(span/h), its density integrated by the trapezoid rule.  On the
+    shared lattice the two discretization errors cancel deep in the bulk.
     """
     x2_grid = np.asarray(x2_grid, dtype=float)
+    if x2_grid.size == 0 or not np.all(np.isfinite(x2_grid) & (x2_grid >= 0.0)):
+        raise ValueError(f"x2_grid must be nonempty, finite and nonnegative, got {x2_grid!r}")
     xmax = float(np.max(x2_grid))
     b, g = _flux(b), _gamma_value(gamma)
+    span = _span(b)
+    h = _default_step(b, xmax + 2 * span)
+    k = int(span / h)
+    fib0 = _assemble(None, 0.0, b, h, 2 * k * h, -k * h)
+    bulk = b * np.trapezoid(_diagonal_density(fib0, F), fib0.grid)
 
-    def at_x2(fib):
+    def integrand(xi):
+        fib, _ = _orbit_fiber(g, xi, b, h)
         return np.interp(x2_grid, fib.grid, _diagonal_density(fib, F), left=0.0, right=0.0)
 
-    def integrand(xi, T_dom):
-        T_bulk = 2 * (abs(xi / b) + xmax + _span(b))
-        fib_e, _ = _orbit_fiber(g, xi, b, _default_step(b, T_dom), 0.0, T_dom)
-        fib_b, _ = _orbit_fiber(None, xi, b, _default_step(b, T_bulk), -xi / b - T_bulk / 2.0,
-                                T_bulk)
-        return at_x2(fib_e) - at_x2(fib_b)
-
     total, _ = _momentum_integral(integrand, b, xmax, 1e-6)
-    return total / (2.0 * np.pi)
+    return (total - bulk) / (2.0 * np.pi)
 
 
 def combes_thomas_check(H, z, C1, x0):

@@ -18,8 +18,8 @@ import numpy as np
 
 from .core import (
     PAULI,
-    BoundaryParam,
     _converge,
+    _gamma_value,
     gauss_legendre_panels,
 )
 from .edge_kernel import ContourConfig, halfplane_kernel_batch
@@ -279,7 +279,7 @@ def magnetic_resolvent(b, W, gamma, lam, order, x, xprime, adjoint=False, n_grid
     the mirror expansion sum_k (T_b(-i lam)*)^k S_b(-i lam)* is used.
     """
     _check_field(b, W)
-    g = gamma.gamma if isinstance(gamma, BoundaryParam) else BoundaryParam(gamma).gamma
+    g = _gamma_value(gamma)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     X = np.atleast_2d(x)

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,32 @@ def test_negative_field_in_schur_sweep_exits_2(tmp_path, capsys):
     assert main(["run", path]) == 2
     assert "flux density" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_non_finite_field_in_fiber_F_exits_2(tmp_path, capsys):
+    # JSON reads 1e400 as inf, which the fiber's field check refuses
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "experiment": "fiber-F", "output": str(tmp_path / "f"),
+        "F": {"type": "gaussian", "center": 0.0, "sigma": 0.35},
+        "gamma": 1.0, "b": "B", "xi": 0.0,
+    }).replace('"B"', "1e400"))
+    assert main(["run", str(path)]) == 2
+    assert "flux density b must be finite and positive, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_edge_bulk_gap_slope_needs_two_points(tmp_path):
+    # one x2 >= 2 fits no slope: null, where a one-point fit warned
+    path = _write_cfg(tmp_path, {
+        "experiment": "edge-bulk-gap", "output": str(tmp_path / "g"),
+        "gamma": 1.0, "b": 1.0, "x2_values": [0.2, 3.0],
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", path]) == 0
+    assert json.loads((tmp_path / "g.meta.json").read_text())["loglog_slope"] is None
+    assert len(_read_rows(tmp_path / "g.csv")) == 2
 
 
 def test_nonconvergence_maps_to_exit_3(tmp_path, capsys):

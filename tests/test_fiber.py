@@ -87,8 +87,11 @@ def test_discretize_fiber_input_errors():
         discretize_fiber(1.0, -10.0, 1.0, T_dom=5.0)
     with pytest.raises(ValueError, match="decrease h"):
         discretize_fiber(1.0, 0.0, 1.0, h=0.05, T_dom=12.0)
-    with pytest.raises(ValueError):
-        discretize_fiber(1.0, 0.0, -1.0)
+    # worded as the magnetic routines' field check; an infinite field is
+    # refused before it reaches the assembly
+    for b in (-1.0, 0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="flux density b must be finite and positive"):
+            discretize_fiber(1.0, 0.0, b)
 
 
 def test_dispersion_plateaus_at_landau_levels():

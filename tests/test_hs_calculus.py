@@ -190,20 +190,25 @@ def test_hs_block_diagonal_matrix():
 
 def _edge_bulk_gap_inline_loop(F, g, b, x2_grid, window=True):
     """Reference: edge_bulk_diagonal_gap with its own copy of the xi-tail loop.
-    With window=True each fiber keeps the nodes of discretize_fiber's grid
-    that lie in its orbit window (c = -xi/b): [max(0, c - span), max(c, 0) +
-    span] on the half line, with the boundary row only when the window starts
-    at node 0, and [c - span, c + span] on the whole line; the density is 0
-    outside.  With window=False the fibers are discretize_fiber's own."""
+    Every fiber lives on the lattice j h, h the default step of the half-line
+    domain max x2 + 2 span, and each half-line fiber is cut from
+    [0, max(max x2 + 2 span, c + span)], c = -xi/b.  With window=True it keeps
+    the nodes in its orbit window [max(0, c - span), max(c, 0) + span], with
+    the boundary row only when the window starts at node 0, the density is 0
+    outside, and the bulk is one whole-line fiber at xi = 0 on the nodes
+    -k h .. k h, k = floor(span/h), integrated in t.  With window=False the
+    half-line fiber is solved whole and the bulk at every xi is a whole-line
+    fiber on the lattice nodes within |xi/b| + max x2 + span of c."""
     dxi, span = 0.1 * np.sqrt(b), 6.0 / np.sqrt(b)
     xmax = float(np.max(x2_grid))
+    h = min(1.0 / 48, 0.09 / (b * (xmax + 2 * span)))
 
     def density(fib):
         E, psi = fib.eigensystem(emin=-F.support_max, emax=F.support_max)
-        if E.size == 0:
-            return np.zeros(x2_grid.size)
-        dens = np.einsum("tse,e->t", np.abs(psi) ** 2, np.asarray(F(E))) / fib.h
-        return np.interp(x2_grid, fib.grid, dens, left=0.0, right=0.0)
+        return np.einsum("tse,e->t", np.abs(psi) ** 2, np.asarray(F(E))) / fib.h
+
+    def at_x2(fib):
+        return np.interp(x2_grid, fib.grid, density(fib), left=0.0, right=0.0)
 
     def cut(fib, lo, hi):
         k0 = max(0, int(np.ceil((lo - fib.grid[0]) / fib.h)))
@@ -212,16 +217,23 @@ def _edge_bulk_gap_inline_loop(F, g, b, x2_grid, window=True):
         return fiber._assemble(g_cut, fib.xi, b, fib.h, (k1 - k0) * fib.h,
                                fib.grid[0] + k0 * fib.h)
 
-    def integrand(xi):
-        fib_e = discretize_fiber(g, xi, b, T_dom=max(xmax + 2 * span, -xi / b + span))
-        T_bulk = 2 * (abs(xi / b) + xmax + span)
-        fib_b = discretize_fiber(None, xi, b, T_dom=T_bulk, whole_line=True)
-        if window:
-            c = -xi / b
-            fib_e = cut(fib_e, max(0.0, c - span), max(c, 0.0) + span)
-            fib_b = cut(fib_b, c - span, c + span)
-        return density(fib_e) - density(fib_b)
+    def whole_line(xi, lo, hi):
+        k0, k1 = int(np.floor(lo / h)), int(np.ceil(hi / h))
+        return fiber._assemble(None, xi, b, h, (k1 - k0) * h, k0 * h)
 
+    def integrand(xi):
+        c = -xi / b
+        fib_e = fiber._assemble(g, xi, b, h, max(xmax + 2 * span, c + span))
+        if window:
+            return at_x2(cut(fib_e, max(0.0, c - span), max(c, 0.0) + span))
+        reach = abs(xi / b) + xmax + span
+        return at_x2(fib_e) - at_x2(whole_line(xi, c - reach, c + reach))
+
+    bulk = 0.0
+    if window:
+        k = int(span / h)
+        fib0 = fiber._assemble(None, 0.0, b, h, 2 * k * h, -k * h)
+        bulk = b * np.trapezoid(density(fib0), fib0.grid)
     lo, hi = -b * (xmax + span), b * span
     xs = np.arange(lo, hi + dxi / 2, dxi)
     total = np.sum([integrand(x) for x in xs], axis=0) * dxi
@@ -233,7 +245,7 @@ def _edge_bulk_gap_inline_loop(F, g, b, x2_grid, window=True):
         total += tail
         lo, hi = lo - b * span, hi + b * span + dxi
         if np.max(np.abs(tail)) < 1e-4 * max(np.max(np.abs(total)), 1e-6):
-            return total / (2.0 * np.pi)
+            return (total - bulk) / (2.0 * np.pi)
     raise RuntimeError("xi-integration tail did not converge")
 
 
@@ -245,12 +257,37 @@ def test_edge_bulk_gap_shared_tail_loop_is_bit_identical():
 
 
 def test_edge_bulk_gap_orbit_window_matches_full_domain():
-    # the orbit-window fibers against discretize_fiber's whole-domain fibers
+    # the orbit-window half-line fibers and the one translated bulk fiber
+    # against whole-domain half-line fibers and a whole-line fiber at every xi
     F = SchwartzFunction.plateau(-1.2, -0.2, 0.2, 1.2)
     x2 = np.array([0.5, 2.0])
-    ref = _edge_bulk_gap_inline_loop(F, 1.0, 1.0, x2, window=False)
-    assert np.all(np.abs(edge_bulk_diagonal_gap(F, 1.0, 1.0, x2) - ref)
-                  <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    for g, b in ((1.0, 1.0), (0.5, 2.0)):
+        ref = _edge_bulk_gap_inline_loop(F, g, b, x2, window=False)
+        assert np.all(np.abs(edge_bulk_diagonal_gap(F, g, b, x2) - ref)
+                      <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_edge_bulk_gap_assembles_one_whole_line_fiber(monkeypatch):
+    # every half-line fiber starts at t >= 0 (a window past the edge has no
+    # boundary row); the bulk term is the one fiber that reaches t < 0
+    calls, assemble = [], fiber._assemble
+
+    def recording(g, xi, b, h, T_dom, t0=0.0):
+        calls.append((g, xi, t0))
+        return assemble(g, xi, b, h, T_dom, t0)
+
+    monkeypatch.setattr(fiber, "_assemble", recording)
+    F = SchwartzFunction.plateau(-1.2, -0.2, 0.2, 1.2)
+    edge_bulk_diagonal_gap(F, 1.0, 1.0, [0.5, 2.0])
+    whole = [c for c in calls if c[2] < 0.0]
+    assert len(whole) == 1 and whole[0][:2] == (None, 0.0)
+
+
+def test_edge_bulk_gap_rejects_x2_grid():
+    F = SchwartzFunction.plateau(-1.2, -0.2, 0.2, 1.2)
+    for x2 in ([], [-1.0], [0.5, np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="x2_grid"):
+            edge_bulk_diagonal_gap(F, 1.0, 1.0, x2)
 
 
 def test_fiber_kernel_routes_agree():
