@@ -242,19 +242,22 @@ def _assemble(g, xi, b, h, T_dom, t0=0.0):
     return FiberDiscretization(h, T_dom, g, xi, b, diag, off, t)
 
 
-def _orbit_fiber(g, xi, b, h):
-    """The half-line fiber on the nodes j h (j >= 0) that lie in the orbit
-    window of xi, [max(0, c - span), max(c, 0) + span] with c = -xi/b its
-    orbit centre and span = 6/sqrt(b).  A low Landau-level state's density
-    falls like e^(-b (t - c)^2), to about e^(-36) one span from c, and an edge
-    state's one span past the edge, so the window keeps every state of the
-    energy windows used here.  The gamma boundary row enters only when the
-    window starts at node 0; a window away from the edge is assembled as a
-    whole line.  Returns (fib, k0), k0 the index of the window's first node."""
-    span, c = _span(b), -xi / b
-    k0 = int(np.ceil(max(0.0, c - span) / h))
-    k1 = int(np.floor((max(c, 0.0) + span) / h))
-    return _assemble(g if k0 == 0 else None, xi, b, h, (k1 - k0) * h, k0 * h), k0
+def _orbit_fiber(g, jc, b, step):
+    """The half-line fiber whose orbit centre is the lattice node jc, c = jc
+    step (momentum xi = -b step jc), on the nodes j step (j >= 0) of its orbit
+    window [max(0, c - span), max(c, 0) + span], span = 6/sqrt(b): the
+    nodes k0 = max(0, jc - k) through k1 = max(jc, 0) + k, k = floor(span/step).
+    A low Landau-level state's density falls like e^(-b (t - c)^2), to about
+    e^(-36) one span from c, and an edge state's one span past the edge, so
+    the window keeps every state of the energy windows used here.  The gamma
+    boundary row enters only when the window starts at node 0; a window away
+    from the edge (k0 > 0) is assembled as a whole line, and is then the
+    whole-line fiber at xi = 0 on the nodes -k .. k moved by jc nodes.
+    Returns (fib, k0)."""
+    k = int(_span(b) / step)
+    k0, k1 = max(0, jc - k), max(jc, 0) + k
+    return _assemble(g if k0 == 0 else None, -b * step * jc, b, step, (k1 - k0) * step,
+                     k0 * step), k0
 
 
 def landau_levels(b, n_max, h=None, T_dom=None):
@@ -476,11 +479,12 @@ def assembled_bulk_diagonal(b, window, x2_values):
     return b * step * acc / (2.0 * np.pi)
 
 
-# _momentum_integral's xi step (in units of sqrt(b)), tail tolerance, most extensions
-_XI_STEP = 0.1
+# _momentum_integral's xi stride in orbit-lattice nodes (xi step
+# _XI_STRIDE b h = (5/48) sqrt(b)), tail tolerance, most extensions
+_XI_STRIDE = 5
 _TAIL_TOL = 1e-4
 _MAX_EXTENSIONS = 6
-# edge_density_rho's coarser fiber step, in magnetic lengths 1/sqrt(b)
+# node spacing h of the orbit lattice, in magnetic lengths 1/sqrt(b)
 _FIBER_STEP = 1.0 / 48
 
 
@@ -491,27 +495,54 @@ def _diagonal_density(fib, F):
 
 
 def _momentum_integral(integrand, b, depth, floor):
-    """Riemann sum over xi in [-b (depth + span), b span], span = 6/sqrt(b), of
-    integrand(xi): orbit centres -xi/b from depth + span down to -span.  The
-    range grows by b span at both ends until core._converge accepts the total
-    (the given floor), else QuadratureError."""
-    dxi = _XI_STEP * np.sqrt(b)
-    span = _span(b)
+    """Riemann sum over the orbit lattice of integrand(j) dxi: j is the orbit
+    index of the momentum xi_j = -b h j, whose orbit centre -xi_j/b is the
+    node j h, h = _FIBER_STEP/sqrt(b).  Every _XI_STRIDE-th j is taken (j a
+    multiple of the stride), so dxi = _XI_STRIDE b h = (5/48) sqrt(b) and every
+    orbit centre is a node of the lattices h, h/2 and h/4.  The sum starts
+    with the centres from -span to depth + span, span = 6/sqrt(b), and grows
+    at both ends by the whole strides that cover span, so no xi is counted
+    twice or skipped, until core._converge accepts the total (the given
+    floor), else QuadratureError."""
+    h = _FIBER_STEP / np.sqrt(b)
+    dxi = _XI_STRIDE * b * h
+    ext = -(-int(_span(b) / h) // _XI_STRIDE)      # strides per extension
 
-    def part(xis):
-        return np.sum([integrand(x) for x in xis], axis=0)
+    def part(lo, hi):
+        return np.sum([integrand(_XI_STRIDE * n) for n in range(lo, hi)], axis=0)
 
-    def totals(lo, hi, step):
-        total = part(np.arange(lo, hi + dxi / 2, dxi)) * dxi
+    def totals(lo, hi):
+        # the strides lo .. hi - 1
+        total = part(lo, hi) * dxi
         yield total
         for _ in range(_MAX_EXTENSIONS):
-            total = total + (part(np.arange(lo - step, lo, dxi))
-                             + part(np.arange(hi + dxi, hi + step + dxi / 2, dxi))) * dxi
+            total = total + (part(lo - ext, lo) + part(hi, hi + ext)) * dxi
             yield total
-            lo, hi = lo - step, hi + step + dxi
+            lo, hi = lo - ext, hi + ext
 
-    return _converge(totals(-b * (depth + span), b * span, b * span), _TAIL_TOL, floor,
-                     "xi-integration tail")
+    hi = int(np.ceil(depth / (h * _XI_STRIDE))) + ext + 1
+    return _converge(totals(-ext, hi), _TAIL_TOL, floor, "xi-integration tail")
+
+
+def _lattice_densities(g, b, step, F):
+    """The fibers of the orbit lattice at one node spacing step.  Returns
+    (bulk, density): bulk = b int tr F(H_0)(t, t) dt, the trapezoid rule on
+    the whole-line fiber at xi = 0 on the nodes -k step .. k step,
+    k = floor(span/step); density(jc) = (dens, k0), the diagonal density of
+    _orbit_fiber(g, jc, b, step) on its nodes k0, k0 + 1, ...  Only a window
+    that meets the edge (jc <= k) is solved: any other is the xi = 0 fiber
+    moved by jc nodes, so its density is that fiber's, from node jc - k."""
+    k = int(_span(b) / step)
+    fib0 = _assemble(None, 0.0, b, step, 2 * k * step, -k * step)
+    dens0 = _diagonal_density(fib0, F)
+
+    def density(jc):
+        if jc > k:
+            return dens0, jc - k
+        fib, k0 = _orbit_fiber(g, jc, b, step)
+        return _diagonal_density(fib, F), k0
+
+    return b * np.trapezoid(dens0, fib0.grid), density
 
 
 def _strip_weights(h, L):
@@ -526,6 +557,20 @@ def _strip_weights(h, L):
     return w
 
 
+def _richardson(coarse, fine, change, total):
+    """The Richardson value (4 fine - coarse)/3 of two fiber steps, one twice
+    the other.  change is fine - coarse before normalization, total the fine
+    xi-integrated total; the measured step error |change|/3 must stay below
+    _TAIL_TOL relative to |total| (floor 1), else QuadratureError with fine
+    and coarse as last and previous."""
+    step_error = np.max(np.abs(change) / 3.0 / np.maximum(1.0, np.abs(total)))
+    if step_error >= _TAIL_TOL:
+        raise QuadratureError(
+            f"fiber step not converged (step error {step_error:.2e} of the total, "
+            f"tolerance {_TAIL_TOL:.0e})", last=fine, previous=coarse)
+    return (4.0 * fine - coarse) / 3.0
+
+
 def edge_density_rho(gamma, b, F, L):
     """Edge density (1/(2 pi L)) int dxi int_0^L tr F(fiber)(t,t) dt.
 
@@ -535,45 +580,43 @@ def edge_density_rho(gamma, b, F, L):
     (returns a float) or a sequence of them (returns an array): one sweep on
     the largest serves all, the t-integral ending exactly at each L.
 
-    Each fiber is solved at the steps h = _FIBER_STEP/sqrt(b) and h/2 on the
-    nodes j h of its orbit window [max(0, c - span), max(c, 0) + span],
-    c = -xi/b and span = 6/sqrt(b) (_orbit_fiber: each eigenstate in the
-    energy window lives within one span of its orbit centre or the edge, so h
-    follows the magnetic length, not the domain); a window that starts at
-    node k0 > 0 has no boundary row and its density meets the strip weights
-    from node k0 on.  The xi-integral of _momentum_integral (floor 1)
-    converges both, and the result is the Richardson value
-    (4 rho(h/2) - rho(h))/3.  Its measured step error |rho(h/2) - rho(h)|/3
-    must stay below _TAIL_TOL relative to the xi-integrated total (floor 1),
-    else QuadratureError carrying the rho(h/2) and rho(h) values as last and
-    previous.
+    The xi-integral of _momentum_integral (floor 1) runs over the orbit
+    lattice, xi step (5/48) sqrt(b), and each fiber is taken at the node
+    spacings h = _FIBER_STEP/sqrt(b) and h/2 on the nodes of its orbit window
+    [max(0, c - span), max(c, 0) + span], c = -xi/b and span = 6/sqrt(b)
+    (_orbit_fiber: each eigenstate in the energy window lives within one span
+    of its orbit centre or the edge, so h follows the magnetic length, not
+    the domain).  Only the fibers whose window meets the edge are solved; one
+    further away is the whole-line fiber at xi = 0 translated by c, so one
+    whole-line solve per step serves them all (_lattice_densities), and its
+    density meets the strip weights from the window's first node on.  The
+    result is the Richardson value (4 rho(h/2) - rho(h))/3.  Its measured step
+    error |rho(h/2) - rho(h)|/3 must stay below _TAIL_TOL relative to the
+    xi-integrated total (floor 1), else QuadratureError carrying the rho(h/2)
+    and rho(h) values as last and previous.
     """
     Ls = np.asarray(L, dtype=float).ravel()
     if not np.all(np.isfinite(Ls) & (Ls > 0.0)):
         raise ValueError(f"strip widths L must be finite and positive, got {L!r}")
     b, g = _flux(b), _gamma_value(gamma)
-    steps = (_FIBER_STEP / np.sqrt(b), _FIBER_STEP / np.sqrt(b) / 2.0)
-    weights = [[_strip_weights(step, Lk) for Lk in Ls] for step in steps]
+    h = _FIBER_STEP / np.sqrt(b)
+    # per refinement r: the orbit index scale, the densities at h/r, the weights
+    levels = [(r, _lattice_densities(g, b, h / r, F)[1], [_strip_weights(h / r, Lk) for Lk in Ls])
+              for r in (1, 2)]
 
-    def integrand(xi):
-        # one solve per step; every L reads the same density from node k0
+    def integrand(j):
+        # one density per step; every L reads it from node k0
         out = np.empty((2, Ls.size))
-        for i, step in enumerate(steps):
-            fib, k0 = _orbit_fiber(g, xi, b, step)
-            dens = _diagonal_density(fib, F)
-            for k, w in enumerate(weights[i]):
+        for i, (r, density, weights) in enumerate(levels):
+            dens, k0 = density(r * j)
+            for k, w in enumerate(weights):
                 w = w[k0 : k0 + dens.size]
                 out[i, k] = w @ dens[: w.size]
         return out
 
     total, _ = _momentum_integral(integrand, b, float(np.max(Ls)), 1.0)
-    step_error = np.max(np.abs(total[1] - total[0]) / 3.0 / np.maximum(1.0, np.abs(total[1])))
     coarse, fine = (total / (2.0 * np.pi * Ls)).reshape((2,) + np.shape(L))
-    if step_error >= _TAIL_TOL:
-        raise QuadratureError(
-            f"fiber step not converged (step error {step_error:.2e} of the total, "
-            f"tolerance {_TAIL_TOL:.0e})", last=fine, previous=coarse)
-    rho = (4.0 * fine - coarse) / 3.0
+    rho = _richardson(coarse, fine, total[1] - total[0], total[1])
     return float(rho) if rho.ndim == 0 else rho
 
 
@@ -585,34 +628,42 @@ def edge_bulk_diagonal_gap(F, gamma, b, x2_grid):
     the difference decays faster than any power of x2 when F' is supported
     in bulk spectral gaps.  x2_grid holds finite x2 >= 0, else ValueError.
 
-    Every fiber lives on the lattice j h with one step,
-    h = discretize_fiber's default for the half-line domain max x2 + 2 span,
-    span = 6/sqrt(b).  Each half-line fiber is solved only on its orbit
-    window (_orbit_fiber), its density read at x2 by linear interpolation
-    and 0 outside the window, and integrated over xi by _momentum_integral
-    (floor 1e-6).  The whole-line fiber at xi is the one at 0 translated by
-    -xi/b, so the bulk diagonal is the constant (b/2pi) int tr F(H_0)(t, t)
-    dt: one whole-line fiber at xi = 0 on the nodes -k h .. k h,
-    k = floor(span/h), its density integrated by the trapezoid rule.  On the
+    The fibers are those of edge_density_rho, on the same orbit lattice and
+    xi step, at the node spacings h/2 and h/4, h = _FIBER_STEP/sqrt(b): the
+    fibers whose orbit window meets the edge are solved, the others are the
+    whole-line fiber at xi = 0 translated (_lattice_densities).  Each density
+    is read at x2 by linear interpolation, 0 outside its window, and
+    integrated over xi by _momentum_integral (floor 1e-6).  The whole-line
+    fiber at xi is the one at 0 translated by -xi/b, so the bulk diagonal is
+    the constant (b/2pi) int tr F(H_0)(t, t) dt of that same fiber; on the
     shared lattice the two discretization errors cancel deep in the bulk.
+    The result is the Richardson value (4 d(h/4) - d(h/2))/3.  Its measured
+    step error, |d(h/4) - d(h/2)|/3 before the 1/2pi, must stay below
+    _TAIL_TOL relative to the xi-integrated edge total (floor 1), as in
+    edge_density_rho, else QuadratureError carrying d(h/4) and d(h/2) as
+    last and previous.  The steps h and h/2 would miss that tolerance at
+    (gamma, b) = (3, 0.5).
     """
     x2_grid = np.asarray(x2_grid, dtype=float)
     if x2_grid.size == 0 or not np.all(np.isfinite(x2_grid) & (x2_grid >= 0.0)):
         raise ValueError(f"x2_grid must be nonempty, finite and nonnegative, got {x2_grid!r}")
-    xmax = float(np.max(x2_grid))
     b, g = _flux(b), _gamma_value(gamma)
-    span = _span(b)
-    h = _default_step(b, xmax + 2 * span)
-    k = int(span / h)
-    fib0 = _assemble(None, 0.0, b, h, 2 * k * h, -k * h)
-    bulk = b * np.trapezoid(_diagonal_density(fib0, F), fib0.grid)
+    h = _FIBER_STEP / np.sqrt(b)
+    levels = [(r, *_lattice_densities(g, b, h / r, F)) for r in (2, 4)]
+    bulk = np.array([[bulk_r] for _, bulk_r, _ in levels])
 
-    def integrand(xi):
-        fib, _ = _orbit_fiber(g, xi, b, h)
-        return np.interp(x2_grid, fib.grid, _diagonal_density(fib, F), left=0.0, right=0.0)
+    def integrand(j):
+        out = np.empty((2, x2_grid.size))
+        for i, (r, _, density) in enumerate(levels):
+            dens, k0 = density(r * j)
+            nodes = (h / r) * (k0 + np.arange(dens.size))
+            out[i] = np.interp(x2_grid, nodes, dens, left=0.0, right=0.0)
+        return out
 
-    total, _ = _momentum_integral(integrand, b, xmax, 1e-6)
-    return (total - bulk) / (2.0 * np.pi)
+    total, _ = _momentum_integral(integrand, b, float(np.max(x2_grid)), 1e-6)
+    diff = total - bulk
+    coarse, fine = diff / (2.0 * np.pi)
+    return _richardson(coarse, fine, diff[1] - diff[0], total[1])
 
 
 def combes_thomas_check(H, z, C1, x0):

@@ -127,6 +127,20 @@ def test_edge_bulk_gap_slope_needs_two_points(tmp_path):
     assert len(_read_rows(tmp_path / "g.csv")) == 2
 
 
+def test_edge_bulk_gap_step_error_exits_3(tmp_path, capsys, monkeypatch):
+    # twelve times the default fiber step: the measured step error of the
+    # gap's Richardson steps is past its tolerance
+    monkeypatch.setattr(fiber, "_FIBER_STEP", 0.25)
+    path = _write_cfg(tmp_path, {
+        "experiment": "edge-bulk-gap", "output": str(tmp_path / "g"),
+        "gamma": 1.0, "b": 1.0, "x2_values": [0.5, 3.0],
+    })
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical non-convergence:") and "fiber step not converged" in err
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_nonconvergence_maps_to_exit_3(tmp_path, capsys):
     path = _write_cfg(tmp_path, {
         "experiment": "fiber-F", "output": str(tmp_path / "f"),

@@ -318,28 +318,40 @@ def test_edge_density_rejects_strip_widths():
 
 
 def _edge_density_rho_inline_loop(g, b, F, L, window=True):
-    """Reference: edge_density_rho with its own copy of the xi-tail loop:
-    each xi solved at the steps h and h/2, then the Richardson value.  With
-    window=True each fiber keeps the nodes j*step of its orbit window
-    [max(0, c - span), max(c, 0) + span], c = -xi/b, with the boundary row
-    only when the window starts at node 0; with window=False it is solved on
-    the whole domain [0, max(L + 2 span, c + span)]."""
-    dxi, span = 0.1 * np.sqrt(b), 6.0 / np.sqrt(b)
+    """Reference: edge_density_rho with its own copy of the xi-tail loop, on
+    the orbit lattice: the momenta xi = -b h j, h = (1/48)/sqrt(b), j a
+    multiple of 5 (xi step (5/48) sqrt(b)), so that the orbit centre c = j h
+    is the node jc = c/step of both steps h and h/2; each xi is taken at
+    both, then the Richardson value.  With window=True the fiber at node jc
+    keeps the nodes max(0, jc - k) .. max(jc, 0) + k, k = floor(span/step):
+    it is solved, with its boundary row, when jc <= k, and otherwise reads
+    the density of one whole-line fiber at xi = 0 on the nodes -k .. k from
+    node jc - k.  With window=False every fiber is solved on the whole
+    domain [0, max(L + 2 span, c + span)]."""
+    span = 6.0 / np.sqrt(b)
     h = (1.0 / 48) / np.sqrt(b)
+    dxi, ext = 5 * b * h, -(-int(span / h) // 5)
     T_dom = L + 2 * span
 
-    def strip(step, xi):
-        T = max(T_dom, -xi / b + span)
-        if window:
-            c = -xi / b
-            k0 = max(0, int(np.ceil(max(0.0, c - span) / step)))
-            k1 = min(int(round(T / step)), int(np.floor((max(c, 0.0) + span) / step)))
-            fib = fiber._assemble(g if k0 == 0 else None, xi, b, step, (k1 - k0) * step,
-                                  k0 * step)
-        else:
-            k0, fib = 0, fiber._assemble(g, xi, b, step, T)
+    def density(fib):
         E, psi = fib.eigensystem(emin=-F.support_max, emax=F.support_max)
-        dens = np.einsum("tse,e->t", np.abs(psi) ** 2, np.asarray(F(E))) / step
+        return np.einsum("tse,e->t", np.abs(psi) ** 2, np.asarray(F(E))) / fib.h
+
+    bulk = {}
+    for step in (h, h / 2.0):
+        k = int(span / step)
+        bulk[step] = density(fiber._assemble(None, 0.0, b, step, 2 * k * step, -k * step))
+
+    def strip(step, jc):
+        k = int(span / step)
+        if not window:
+            k0, dens = 0, density(fiber._assemble(g, -b * step * jc, b, step,
+                                                  max(T_dom, jc * step + span)))
+        elif jc > k:
+            k0, dens = jc - k, bulk[step]
+        else:
+            k0, dens = 0, density(fiber._assemble(g, -b * step * jc, b, step,
+                                                  (max(jc, 0) + k) * step))
         m = int(L / step)
         s = L / step - m
         # trapezoid rule to the last node t_m <= L, then the linear
@@ -350,19 +362,16 @@ def _edge_density_rho_inline_loop(g, b, F, L, window=True):
         w = w[k0 : k0 + dens.size]
         return w @ dens[: w.size]
 
-    def integrand(xi):
-        return np.array([[strip(h, xi)], [strip(h / 2.0, xi)]])
+    def part(lo, hi):
+        return np.sum([[[strip(h, 5 * n)], [strip(h / 2.0, 10 * n)]]
+                       for n in range(lo, hi)], axis=0)
 
-    def part(xs):
-        return np.sum([integrand(x) for x in xs], axis=0)
-
-    lo, hi = -b * (L + span), b * span
-    total = part(np.arange(lo, hi + dxi / 2, dxi)) * dxi
+    lo, hi = -ext, int(np.ceil(L / (h * 5))) + ext + 1
+    total = part(lo, hi) * dxi
     for _ in range(6):
-        tail = (part(np.arange(lo - b * span, lo, dxi))
-                + part(np.arange(hi + dxi, hi + b * span + dxi / 2, dxi))) * dxi
+        tail = (part(lo - ext, lo) + part(hi, hi + ext)) * dxi
         total = total + tail
-        lo, hi = lo - b * span, hi + b * span + dxi
+        lo, hi = lo - ext, hi + ext
         if np.max(np.abs(tail)) < 1e-4 * max(np.max(np.abs(total)), 1.0):
             break
     else:
@@ -380,10 +389,12 @@ def test_edge_density_shared_tail_loop_is_bit_identical():
 
 
 def test_edge_density_orbit_window_matches_full_domain(monkeypatch):
-    # the orbit-window fibers against the whole-domain fibers they are cut
-    # from: the states left out have density below e^-36; some fibers start
-    # their window past the edge (k0 > 0) and some at it (boundary row)
-    k0s, orbit_fiber = [], fiber._orbit_fiber
+    # the translated and orbit-window fibers against fibers solved at every
+    # xi on the whole domain: the states left out have density below e^-36.
+    # Every solved fiber meets the edge (k0 = 0, boundary row); the lattice
+    # reaches orbit centres past one span, whose fibers are translates
+    k0s, js = [], []
+    orbit_fiber, momentum_integral = fiber._orbit_fiber, fiber._momentum_integral
 
     def recording(*args):
         fib, k0 = orbit_fiber(*args)
@@ -391,12 +402,51 @@ def test_edge_density_orbit_window_matches_full_domain(monkeypatch):
         return fib, k0
 
     monkeypatch.setattr(fiber, "_orbit_fiber", recording)
+    monkeypatch.setattr(fiber, "_momentum_integral", lambda integrand, *args: momentum_integral(
+        lambda j: js.append(j) or integrand(j), *args))
     for b, g, gap in ((0.5, 1.0, (0, 0)), (2.0, 0.5, (1, 1)), (1.0, 2.0, (1, 1))):
         F = _plateau(gap_window(b, *gap))
         rho = edge_density_rho(g, b, F, 4.0)
         ref = _edge_density_rho_inline_loop(g, b, F, 4.0, window=False)
         assert abs(rho - ref) <= 1e-12 * max(1.0, abs(ref))
-    assert 0 in k0s and max(k0s) > 0
+        # orbit centre j h = j _FIBER_STEP/sqrt(b) past span = 6/sqrt(b)
+        assert set(k0s) == {0} and max(js) * fiber._FIBER_STEP > 6.0
+        k0s.clear()
+        js.clear()
+
+
+def test_lattice_densities_translate_the_whole_line_fiber():
+    # a fiber whose orbit window starts past the edge, assembled on its own,
+    # has the density of the xi = 0 whole-line fiber moved by jc nodes
+    F = _plateau(gap_window(1.0, 1, 1))
+    for b, step in ((1.0, fiber._FIBER_STEP), (0.5, fiber._FIBER_STEP / np.sqrt(0.5) / 2.0)):
+        k = int(6.0 / np.sqrt(b) / step)
+        _, density = fiber._lattice_densities(2.0, b, step, F)
+        for jc in (k + 1, k + 7, 3 * k):
+            dens, k0 = density(jc)
+            fib, k0_own = fiber._orbit_fiber(2.0, jc, b, step)
+            own = fiber._diagonal_density(fib, F)
+            assert k0 == k0_own == jc - k and fib.gamma is None
+            assert np.max(np.abs(dens - own)) <= 1e-12 * np.max(own)
+
+
+def test_fiber_solves_do_not_grow_with_L_or_x2(monkeypatch):
+    # only the fibers whose orbit window meets the edge are solved, so the
+    # eigensolves per call depend neither on the strip widths nor on max x2
+    calls, window_eigh = [], fiber._window_eigh
+    monkeypatch.setattr(fiber, "_window_eigh", lambda *a: calls.append(1) or window_eigh(*a))
+
+    def solves(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    F = _plateau(gap_window(1.0, 1, 1))
+    rho = [solves(lambda: edge_density_rho(1.0, 1.0, F, L)) for L in (4.0, [4.0, 8.0, 16.0, 32.0])]
+    G = SchwartzFunction.plateau(-1.2, -0.2, 0.2, 1.2)
+    gap = [solves(lambda: fiber.edge_bulk_diagonal_gap(G, 1.0, 1.0, [2.0, xmax]))
+           for xmax in (8.0, 32.0)]
+    assert rho[0] == rho[1] <= 360 and gap[0] == gap[1] <= 360
 
 
 def _assert_window_eigh_matches_oracle(diag, off, emin, emax):

@@ -190,63 +190,72 @@ def test_hs_block_diagonal_matrix():
 
 def _edge_bulk_gap_inline_loop(F, g, b, x2_grid, window=True):
     """Reference: edge_bulk_diagonal_gap with its own copy of the xi-tail loop.
-    Every fiber lives on the lattice j h, h the default step of the half-line
-    domain max x2 + 2 span, and each half-line fiber is cut from
-    [0, max(max x2 + 2 span, c + span)], c = -xi/b.  With window=True it keeps
-    the nodes in its orbit window [max(0, c - span), max(c, 0) + span], with
-    the boundary row only when the window starts at node 0, the density is 0
-    outside, and the bulk is one whole-line fiber at xi = 0 on the nodes
-    -k h .. k h, k = floor(span/h), integrated in t.  With window=False the
-    half-line fiber is solved whole and the bulk at every xi is a whole-line
-    fiber on the lattice nodes within |xi/b| + max x2 + span of c."""
-    dxi, span = 0.1 * np.sqrt(b), 6.0 / np.sqrt(b)
+    The momenta are those of the orbit lattice, xi = -b h j, h =
+    (1/48)/sqrt(b), j a multiple of 5 (xi step (5/48) sqrt(b)), so that the
+    orbit centre c = j h is the node jc = c/step of both steps h/2 and h/4;
+    every xi is taken at both, then the Richardson value.  With window=True
+    the half-line fiber at node jc keeps the nodes 0 .. max(jc, 0) + k,
+    k = floor(span/step), with its boundary row, when jc <= k, and is
+    otherwise the whole-line fiber at xi = 0 on the nodes -k .. k moved by jc
+    nodes; its density is 0 outside those nodes, and the bulk is the xi = 0
+    fiber integrated in t.  With window=False the half-line fiber is solved
+    on [0, max(max x2 + 2 span, c + span)] and the bulk at every xi is a
+    whole-line fiber on the lattice nodes within |xi/b| + max x2 + span of c."""
+    span = 6.0 / np.sqrt(b)
+    h = (1.0 / 48) / np.sqrt(b)
+    dxi, ext = 5 * b * h, -(-int(span / h) // 5)
     xmax = float(np.max(x2_grid))
-    h = min(1.0 / 48, 0.09 / (b * (xmax + 2 * span)))
 
     def density(fib):
         E, psi = fib.eigensystem(emin=-F.support_max, emax=F.support_max)
         return np.einsum("tse,e->t", np.abs(psi) ** 2, np.asarray(F(E))) / fib.h
 
-    def at_x2(fib):
-        return np.interp(x2_grid, fib.grid, density(fib), left=0.0, right=0.0)
+    def at_x2(step, k0, dens):
+        nodes = step * (k0 + np.arange(dens.size))
+        return np.interp(x2_grid, nodes, dens, left=0.0, right=0.0)
 
-    def cut(fib, lo, hi):
-        k0 = max(0, int(np.ceil((lo - fib.grid[0]) / fib.h)))
-        k1 = min(fib.grid.size - 1, int(np.floor((hi - fib.grid[0]) / fib.h)))
-        g_cut = fib.gamma if k0 == 0 else None
-        return fiber._assemble(g_cut, fib.xi, b, fib.h, (k1 - k0) * fib.h,
-                               fib.grid[0] + k0 * fib.h)
+    fib0 = {}
+    for step in (h / 2.0, h / 4.0):
+        k = int(span / step)
+        fib0[step] = fiber._assemble(None, 0.0, b, step, 2 * k * step, -k * step)
+    dens0 = {step: density(fib) for step, fib in fib0.items()}
 
-    def whole_line(xi, lo, hi):
-        k0, k1 = int(np.floor(lo / h)), int(np.ceil(hi / h))
-        return fiber._assemble(None, xi, b, h, (k1 - k0) * h, k0 * h)
+    def edge(step, jc):
+        k = int(span / step)
+        xi = -b * step * jc
+        if not window:
+            c = jc * step
+            fib = fiber._assemble(g, xi, b, step, max(xmax + 2 * span, c + span))
+            reach = abs(xi / b) + xmax + span
+            k0, k1 = int(np.floor((c - reach) / step)), int(np.ceil((c + reach) / step))
+            whole = fiber._assemble(None, xi, b, step, (k1 - k0) * step, k0 * step)
+            return at_x2(step, 0, density(fib)) - at_x2(step, k0, density(whole))
+        if jc > k:
+            return at_x2(step, jc - k, dens0[step])
+        return at_x2(step, 0, density(fiber._assemble(g, xi, b, step, (max(jc, 0) + k) * step)))
 
-    def integrand(xi):
-        c = -xi / b
-        fib_e = fiber._assemble(g, xi, b, h, max(xmax + 2 * span, c + span))
-        if window:
-            return at_x2(cut(fib_e, max(0.0, c - span), max(c, 0.0) + span))
-        reach = abs(xi / b) + xmax + span
-        return at_x2(fib_e) - at_x2(whole_line(xi, c - reach, c + reach))
+    def part(lo, hi):
+        return np.sum([[edge(h / 2.0, 10 * n), edge(h / 4.0, 20 * n)] for n in range(lo, hi)],
+                      axis=0)
 
-    bulk = 0.0
-    if window:
-        k = int(span / h)
-        fib0 = fiber._assemble(None, 0.0, b, h, 2 * k * h, -k * h)
-        bulk = b * np.trapezoid(density(fib0), fib0.grid)
-    lo, hi = -b * (xmax + span), b * span
-    xs = np.arange(lo, hi + dxi / 2, dxi)
-    total = np.sum([integrand(x) for x in xs], axis=0) * dxi
+    lo, hi = -ext, int(np.ceil(xmax / (h * 5))) + ext + 1
+    total = part(lo, hi) * dxi
     for _ in range(6):
-        new_lo = np.arange(lo - b * span, lo, dxi)
-        new_hi = np.arange(hi + dxi, hi + b * span + dxi / 2, dxi)
-        tail = (np.sum([integrand(x) for x in new_lo], axis=0)
-                + np.sum([integrand(x) for x in new_hi], axis=0)) * dxi
-        total += tail
-        lo, hi = lo - b * span, hi + b * span + dxi
+        tail = (part(lo - ext, lo) + part(hi, hi + ext)) * dxi
+        total = total + tail
+        lo, hi = lo - ext, hi + ext
         if np.max(np.abs(tail)) < 1e-4 * max(np.max(np.abs(total)), 1e-6):
-            return (total - bulk) / (2.0 * np.pi)
-    raise RuntimeError("xi-integration tail did not converge")
+            break
+    else:
+        raise RuntimeError("xi-integration tail did not converge")
+    diff = total
+    if window:
+        bulk = [b * np.trapezoid(dens0[step], fib0[step].grid) for step in (h / 2.0, h / 4.0)]
+        diff = total - np.array([[bulk[0]], [bulk[1]]])
+        if np.max(np.abs(diff[1] - diff[0]) / 3.0 / np.maximum(1.0, np.abs(total[1]))) >= 1e-4:
+            raise RuntimeError("fiber step did not converge")
+    coarse, fine = diff / (2.0 * np.pi)
+    return (4.0 * fine - coarse) / 3.0
 
 
 def test_edge_bulk_gap_shared_tail_loop_is_bit_identical():
@@ -257,8 +266,9 @@ def test_edge_bulk_gap_shared_tail_loop_is_bit_identical():
 
 
 def test_edge_bulk_gap_orbit_window_matches_full_domain():
-    # the orbit-window half-line fibers and the one translated bulk fiber
-    # against whole-domain half-line fibers and a whole-line fiber at every xi
+    # the solved orbit-window half-line fibers, the translated ones and the
+    # one translated bulk fiber per step against whole-domain half-line
+    # fibers and a whole-line fiber at every xi
     F = SchwartzFunction.plateau(-1.2, -0.2, 0.2, 1.2)
     x2 = np.array([0.5, 2.0])
     for g, b in ((1.0, 1.0), (0.5, 2.0)):
@@ -268,19 +278,22 @@ def test_edge_bulk_gap_orbit_window_matches_full_domain():
 
 
 def test_edge_bulk_gap_assembles_one_whole_line_fiber(monkeypatch):
-    # every half-line fiber starts at t >= 0 (a window past the edge has no
-    # boundary row); the bulk term is the one fiber that reaches t < 0
+    # every half-line fiber starts at t = 0 (one past the edge is not
+    # assembled but translated); the bulk term is one fiber per step, the
+    # only fibers that reach t < 0
     calls, assemble = [], fiber._assemble
 
     def recording(g, xi, b, h, T_dom, t0=0.0):
-        calls.append((g, xi, t0))
+        calls.append((g, xi, h, t0))
         return assemble(g, xi, b, h, T_dom, t0)
 
     monkeypatch.setattr(fiber, "_assemble", recording)
     F = SchwartzFunction.plateau(-1.2, -0.2, 0.2, 1.2)
     edge_bulk_diagonal_gap(F, 1.0, 1.0, [0.5, 2.0])
-    whole = [c for c in calls if c[2] < 0.0]
-    assert len(whole) == 1 and whole[0][:2] == (None, 0.0)
+    whole = [c[:3] for c in calls if c[3] < 0.0]
+    h = fiber._FIBER_STEP
+    assert whole == [(None, 0.0, h / 2.0), (None, 0.0, h / 4.0)]
+    assert all(c[3] == 0.0 and c[0] is not None for c in calls if c[3] >= 0.0)
 
 
 def test_edge_bulk_gap_rejects_x2_grid():
